@@ -1,6 +1,12 @@
 #include "apps/scenario.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "apps/catalog.hh"
 #include "apps/single_tier.hh"
@@ -8,7 +14,6 @@
 #include "apps/swarm.hh"
 #include "core/json.hh"
 #include "core/logging.hh"
-#include "fault/injector.hh"
 #include "gen/topology.hh"
 #include "serverless/platform.hh"
 #include "workload/generators.hh"
@@ -27,19 +32,12 @@ constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ull;
  */
 constexpr std::uint64_t kArrivalSeedTag = 0xa0761d6478bd642full;
 
+using Field = ScenarioField;
+
 std::string
 ticksField(Tick t)
 {
     return strCat(t, "ns");
-}
-
-bool
-durationFromValue(const json::Value &v, Tick &out)
-{
-    std::string text;
-    if (!json::scalarToString(v, text))
-        return false;
-    return fault::parseDuration(text, out);
 }
 
 /** Split a comma-separated name list, trimming blanks. */
@@ -102,7 +100,751 @@ writeFault(json::Writer &w, const fault::FaultSpec &f)
     w.endObject();
 }
 
+// -- Values -------------------------------------------------------------
+
+/** Narrow @p v into @p dst, or name the member type's limit. */
+template <typename T>
+bool
+storeCount(T &dst, std::uint64_t v, const std::string &where,
+           std::string &error)
+{
+    if (v > std::numeric_limits<T>::max()) {
+        error = strCat(where, " must be <= ",
+                       std::numeric_limits<T>::max());
+        return false;
+    }
+    dst = static_cast<T>(v);
+    return true;
+}
+
+/**
+ * A JSON string or number as the text a flag would carry, so scenario
+ * files go through the flag parsers. Numbers print exactly: whole ones
+ * as integers, the rest in their shortest round-trip form.
+ */
+std::string
+jsonText(const json::Value &v)
+{
+    if (!v.isNumber())
+        return v.string;
+    if (v.number >= 0.0 && v.number < 0x1p64 &&
+        v.number == std::floor(v.number))
+        return strCat(static_cast<std::uint64_t>(v.number));
+    char buf[32];
+    return std::string(buf,
+                       std::to_chars(buf, buf + sizeof buf, v.number).ptr);
+}
+
+// -- Irregular knobs, each written out once -----------------------------
+
+/** Parse a "user,batch,best" triple of WRR weights, each >= 1. */
+bool
+qosWeightsFromFlag(const std::string &text, Scenario &s,
+                   std::string &error)
+{
+    const std::vector<std::string> parts = splitNameList(text);
+    std::uint64_t w[3];
+    for (std::size_t i = 0; i < 3; ++i)
+        if (parts.size() != 3 || !fault::parseCount(parts[i], w[i]) ||
+            w[i] == 0 || w[i] > 1000000) {
+            error = strCat("bad qos.weights (--qos-weights) '", text,
+                           "': want three positive integers "
+                           "\"user,batch,best\"");
+            return false;
+        }
+    s.qosWeightUser = static_cast<unsigned>(w[0]);
+    s.qosWeightBatch = static_cast<unsigned>(w[1]);
+    s.qosWeightBest = static_cast<unsigned>(w[2]);
+    return true;
+}
+
+bool
+qosWeightsFromJson(const json::Value &v, Scenario &s, std::string &error)
+{
+    return qosWeightsFromFlag(v.isString() ? v.string : "", s, error);
+}
+
+void
+qosWeightsToJson(json::Writer &w, const std::string &name,
+                 const Scenario &s)
+{
+    w.field(name, strCat(s.qosWeightUser, ",", s.qosWeightBatch, ",",
+                         s.qosWeightBest));
+}
+
+bool
+pinFromFlag(const std::string &v, Scenario &s, std::string &error)
+{
+    const std::size_t eq = v.find('=');
+    data::PlacementPin pin;
+    std::uint64_t shard = 0;
+    if (eq == std::string::npos || eq == 0 ||
+        !fault::parseCount(v.substr(eq + 1), shard) ||
+        !storeCount(pin.shard, shard, "", error)) {
+        error = strCat("bad pin '", v,
+                       "' (want TIER=SHARD, e.g. user-db=1)");
+        return false;
+    }
+    pin.tier = v.substr(0, eq);
+    s.pins.push_back(std::move(pin));
+    return true;
+}
+
+bool
+pinsFromJson(const json::Value &v, Scenario &s, std::string &error)
+{
+    if (!v.isArray()) {
+        error = "scenario key 'placement.pin' must be an array";
+        return false;
+    }
+    s.pins.clear();
+    for (const json::Value &entry : v.array) {
+        for (const auto &kv : entry.object)
+            if (kv.first != "tier" && kv.first != "shard") {
+                error = strCat("unknown scenario key 'placement.pin.",
+                               kv.first, "'");
+                return false;
+            }
+        const json::Value *tier = entry.find("tier");
+        const json::Value *shard = entry.find("shard");
+        if (tier == nullptr || !tier->isString()) {
+            error = "placement.pin entries need a 'tier' name";
+            return false;
+        }
+        const std::string num = shard == nullptr ? "0"
+                                : shard->isNumber() ? jsonText(*shard)
+                                                    : "";
+        if (!pinFromFlag(tier->string + "=" + num, s, error))
+            return false;
+    }
+    return true;
+}
+
+void
+pinsToJson(json::Writer &w, const std::string &name, const Scenario &s)
+{
+    w.beginArray(name);
+    for (const data::PlacementPin &p : s.pins) {
+        w.beginObject();
+        w.field("tier", p.tier);
+        w.field("shard", p.shard);
+        w.endObject();
+    }
+    w.endArray();
+}
+
+bool
+faultFromFlag(const std::string &v, Scenario &s, std::string &error)
+{
+    fault::FaultSpec spec;
+    if (!fault::parseFaultFlag(v, spec, error)) {
+        error = strCat("bad --fault '", v, "': ", error);
+        return false;
+    }
+    s.faults.push_back(std::move(spec));
+    return true;
+}
+
+bool
+faultFileFromFlag(const std::string &path, Scenario &s, std::string &error)
+{
+    std::ifstream in(path);
+    if (!in) {
+        error = strCat("cannot read fault schedule '", path, "'");
+        return false;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::vector<fault::FaultSpec> specs;
+    if (!fault::parseFaultFile(text.str(), specs, error)) {
+        error = strCat("bad fault schedule '", path, "': ", error);
+        return false;
+    }
+    s.faults.insert(s.faults.end(), specs.begin(), specs.end());
+    return true;
+}
+
+bool
+faultsFromJson(const json::Value &v, Scenario &s, std::string &error)
+{
+    return fault::faultsFromJson(v, s.faults, error);
+}
+
+void
+faultsToJson(json::Writer &w, const std::string &name, const Scenario &s)
+{
+    w.beginArray(name);
+    for (const fault::FaultSpec &f : s.faults)
+        writeFault(w, f);
+    w.endArray();
+}
+
+// -- The table ----------------------------------------------------------
+
+using Range = Field::Range;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Range above(double lo) { return {lo, kInf, true, false}; }
+constexpr Range atLeast(double lo) { return {lo, kInf, false, false}; }
+constexpr Range below(double hi) { return {-kInf, hi, false, true}; }
+constexpr Range within(double lo, double hi) { return {lo, hi}; }
+constexpr Range kFraction = {0.0, 1.0, true, false}; // (0, 1]
+constexpr Range kOpenUnit = {0.0, 1.0, true, true};  // (0, 1)
+
+constexpr Field::Duration
+dur(Tick Scenario::*member)
+{
+    return {member};
+}
+
+/**
+ * Every knob, in scenarioToJson() order (which the committed
+ * scenarios/ corpus pins byte for byte). Defaults are the Scenario
+ * member initializers; cross-field rules live in validateScenario().
+ */
+const Field kFields[] = {
+    {"app", "--app", "NAME", &Scenario::app,
+     "social-network | media | ecommerce | banking | swarm-cloud | "
+     "swarm-edge | social-monolith | nginx | memcached | mongodb | "
+     "xapian | recommender"},
+    {"qps", "--qps", "N", &Scenario::qps, "offered load, requests/s",
+     above(0)},
+    {"duration_sec", "--duration", "SEC", &Scenario::durationSec,
+     "measured window", above(0)},
+    {"warmup_sec", "--warmup", "SEC", &Scenario::warmupSec,
+     "warm-up window", atLeast(0)},
+    {"servers", "--servers", "N", &Scenario::servers,
+     "worker servers per shard", atLeast(1)},
+    {"drones", "--drones", "N", &Scenario::drones, "swarm size",
+     atLeast(1)},
+    {"core", "--core", "MODEL", &Scenario::core, "core model", {},
+     "xeon|xeon18|thunderx"},
+    {"freq_mhz", "--freq", "MHZ", &Scenario::freqMhz,
+     "RAPL frequency cap for all servers, 0 = uncapped", atLeast(0)},
+    {"fpga", "--fpga", "", &Scenario::fpga, "enable the TCP offload"},
+    {"lambda", "--lambda", "KIND", &Scenario::lambda,
+     "serverless execution, unset = off", {}, "|s3|mem"},
+    {"slow_servers", "--slow-servers", "N", &Scenario::slowServers,
+     "inject N slow servers"},
+    {"slow_factor", "--slow-factor", "X", &Scenario::slowFactor,
+     "slow-server slowdown multiplier", atLeast(1)},
+    {"skew", "--skew", "PCT", &Scenario::skew,
+     "user skew percent, < 0 = uniform users", below(100)},
+    {"users", "--users", "N", &Scenario::users, "user population",
+     atLeast(1)},
+    {"seed", "--seed", "N", &Scenario::seed, "world seed"},
+    {"shards", "--shards", "N", &Scenario::shards,
+     "engine shards, each its own event queue", atLeast(1)},
+    {"threads", "--threads", "N", &Scenario::threads,
+     "worker threads driving the shards (never changes results)",
+     atLeast(1)},
+    {"rpc_timeout", "--rpc-timeout", "DUR", dur(&Scenario::rpcTimeout),
+     "per-attempt RPC timeout, 0 = off"},
+    {"deadline", "--deadline", "DUR", dur(&Scenario::deadline),
+     "end-to-end request deadline, 0 = off"},
+    {"retries", "--retries", "N", &Scenario::retries,
+     "RPC retries after a failed attempt"},
+    {"retry_budget", "--retry-budget", "R", &Scenario::retryBudget,
+     "retry tokens earned per request, 0 = unlimited", atLeast(0)},
+    {"breaker", "--breaker", "", &Scenario::breaker,
+     "per-edge circuit breaker (default thresholds)"},
+    {"shed", "--shed", "N", &Scenario::shed,
+     "shed arrivals above queue length N, 0 = off"},
+    {"trace_capacity", "--trace-capacity", "N", &Scenario::traceCapacity,
+     "span ring-buffer capacity", atLeast(1)},
+    {"data.keys", "--cache-keys", "N", &Scenario::dataKeys,
+     "keyed data tier: keys per app, 0 = legacy fixed-hit-probability "
+     "caches"},
+    {"data.capacity", "--cache-capacity", "N", &Scenario::dataCapacity,
+     "entries per cache instance"},
+    {"data.policy", "--cache-policy", "P", &Scenario::dataPolicy,
+     "eviction policy", {}, "lru|lfu|slru"},
+    {"data.popularity", "--cache-popularity", "P",
+     &Scenario::dataPopularity, "key popularity law", {},
+     "zipf|uniform|hotspot"},
+    {"data.zipf_s", "--cache-zipf", "S", &Scenario::dataZipfS,
+     "Zipf skew exponent", atLeast(0)},
+    {"data.hot_fraction", "--cache-hot-fraction", "F",
+     &Scenario::dataHotFraction, "hotspot: hot key fraction", kFraction},
+    {"data.hot_mass", "--cache-hot-mass", "M", &Scenario::dataHotMass,
+     "hotspot: mass on hot keys", within(0, 1)},
+    {"data.ttl", "--cache-ttl", "DUR", dur(&Scenario::dataTtl),
+     "entry time-to-live, 0 = no expiry"},
+    {"data.write", "--cache-write", "P", &Scenario::dataWrite,
+     "write policy", {}, "through|invalidate"},
+    {"data.shift_period", "--cache-shift", "DUR",
+     dur(&Scenario::dataShiftPeriod), "hotspot rotation period, 0 = static"},
+    {"data.vnodes", "--cache-vnodes", "N", &Scenario::dataVnodes,
+     "consistent-hash vnodes per shard", atLeast(1)},
+    {"qos.enabled", "--qos", "", &Scenario::qosEnabled,
+     "server-side admission control: bounded per-class queues with "
+     "weighted dequeue"},
+    {"qos.weights", "--qos-weights", "U,B,E",
+     Field::Custom{qosWeightsFromJson, qosWeightsToJson,
+                   qosWeightsFromFlag},
+     "WRR credits for user-facing, batch, best-effort (default 8,2,1)"},
+    {"qos.queue", "--qos-queue", "N", &Scenario::qosQueue,
+     "per-class queue bound, 0 = tier capacity"},
+    {"qos.rate", "--qos-rate", "R", &Scenario::qosRate,
+     "token bucket: admitted req/s per instance, 0 = unlimited",
+     atLeast(0)},
+    {"qos.burst", "--qos-burst", "N", &Scenario::qosBurst,
+     "token bucket burst", above(0)},
+    {"qos.shed_batch", "--qos-shed-batch", "F", &Scenario::qosShedBatch,
+     "shed batch above this backlog fraction", kFraction},
+    {"qos.shed_best", "--qos-shed-best", "F", &Scenario::qosShedBest,
+     "shed best-effort above this backlog fraction", kFraction},
+    {"qos.batch", "--qos-batch", "LIST", &Scenario::qosBatch,
+     "comma-separated query types in the batch class"},
+    {"qos.best_effort", "--qos-best-effort", "LIST",
+     &Scenario::qosBestEffort, "query types in the best-effort class"},
+    {"replication.factor", "--replica-factor", "N",
+     &Scenario::replicaFactor,
+     "replicate each keyed cache shard across N instances, 0 = off"},
+    {"replication.quorum", "--replica-quorum", "W",
+     &Scenario::replicaQuorum,
+     "acks a write needs before the handler unblocks, 0 = majority"},
+    {"replication.apply_lag", "--replica-apply-lag", "DUR",
+     dur(&Scenario::replicaApplyLag), "follower apply lag per ring hop"},
+    {"replication.election_timeout", "--replica-election-timeout", "DUR",
+     dur(&Scenario::replicaElectionTimeout),
+     "leaderless window before a follower is promoted"},
+    {"replication.catch_up", "--replica-catch-up", "DUR",
+     dur(&Scenario::replicaCatchUp),
+     "log replay a restarted replica needs before it may vote"},
+    {"replication.read", "--replica-read", "P", &Scenario::replicaRead,
+     "read preference, ryw = read-your-writes", {}, "leader|nearest|ryw"},
+    {"replication.txn_keys", "--txn-keys", "N", &Scenario::txnKeys,
+     "2PC: write-tagged keyed stages touch N keys as one transaction, "
+     "0 = off"},
+    {"replication.txn_prepare_timeout", "--txn-prepare-timeout", "DUR",
+     dur(&Scenario::txnPrepareTimeout),
+     "coordinator deadline on the 2PC prepare phase"},
+    {"slo.enabled", nullptr, "", &Scenario::obsEnabled,
+     "telemetry sampling"},
+    {"slo.interval", "--timeseries-interval", "DUR",
+     dur(&Scenario::obsInterval), "telemetry sampling interval",
+     above(0)},
+    {"slo.ring", "--timeseries-ring", "N", &Scenario::obsRing,
+     "ring bound per series", atLeast(1)},
+    {"slo.latency", "--slo-latency", "DUR", dur(&Scenario::sloLatency),
+     "SLO: latency bound at --slo-quantile, 0 = off"},
+    {"slo.quantile", "--slo-quantile", "Q", &Scenario::sloQuantile,
+     "quantile the latency bound applies to", kOpenUnit},
+    {"slo.window", "--slo-window", "N", &Scenario::sloWindow,
+     "consecutive bad intervals before a violation trips", atLeast(1)},
+    {"slo.error_rate", "--slo-error-rate", "R", &Scenario::sloErrorRate,
+     "SLO: error-rate bound, 0 = off", within(0, 1)},
+    {"slo.tier", "--slo-tier", "NAME", &Scenario::sloTier,
+     "series under the SLO, unset = the end-to-end stream"},
+    {"placement.mode", "--placement", "MODE", &Scenario::placement,
+     "how --shards deploys the world: none and replicate run replica "
+     "worlds, partition splits one world across shards",
+     {}, "none|replicate|partition"},
+    {"placement.pin", "--pin", "TIER=SHARD",
+     Field::Custom{pinsFromJson, pinsToJson, pinFromFlag},
+     "partition: pin a tier to a home shard (repeatable; unpinned "
+     "tiers round-robin, the entry tier defaults to shard 0)"},
+    {"generate.profile", "--generate", "PROFILE", &Scenario::genProfile,
+     "sample a topology from a profile instead of building --app (see "
+     "--list-gen-profiles)"},
+    {"generate.seed", "--gen-seed", "N", &Scenario::genSeed,
+     "topology sampling seed"},
+    {"generate.depth", "--gen-depth", "N", &Scenario::genDepth,
+     "pin the logic levels, 0 = profile draw", within(0, 8)},
+    {"generate.width", "--gen-width", "N", &Scenario::genWidth,
+     "pin tiers per level, 0 = profile draw", within(0, 8)},
+    {"generate.fanout", "--gen-fanout", "X", &Scenario::genFanout,
+     "mean call fan-out, 0 = profile draw", within(0, 8)},
+    {"arrival.kind", "--arrival", "KIND", &Scenario::arrival,
+     "arrival process; poisson is the legacy byte-identical sampler", {},
+     "poisson|mmpp|diurnal|flash"},
+    {"arrival.burst", "--arrival-burst", "X", &Scenario::arrivalBurst,
+     "mmpp peak/base rate ratio", atLeast(1)},
+    {"arrival.duty", "--arrival-duty", "F", &Scenario::arrivalDuty,
+     "mmpp peak-state time fraction", kOpenUnit},
+    {"arrival.dwell", "--arrival-dwell", "DUR",
+     dur(&Scenario::arrivalDwell), "mmpp mean peak sojourn", above(0)},
+    {"arrival.period", "--arrival-period", "DUR",
+     dur(&Scenario::arrivalPeriod), "diurnal day length", above(0)},
+    {"arrival.low", "--arrival-low", "F", &Scenario::arrivalLow,
+     "diurnal trough rate fraction", kFraction},
+    {"arrival.flash_at", "--arrival-flash-at", "DUR",
+     dur(&Scenario::arrivalFlashAt), "flash-crowd onset"},
+    {"arrival.flash_ramp", "--arrival-flash-ramp", "DUR",
+     dur(&Scenario::arrivalFlashRamp), "flash ramp-up / decay constant",
+     above(0)},
+    {"arrival.flash_mult", "--arrival-flash-mult", "X",
+     &Scenario::arrivalFlashMult, "flash peak rate multiplier",
+     atLeast(1)},
+    {"arrival.flash_hold", "--arrival-flash-hold", "DUR",
+     dur(&Scenario::arrivalFlashHold), "flash plateau length"},
+    {"faults", "--fault", "SPEC",
+     Field::Custom{faultsFromJson, faultsToJson, faultFromFlag},
+     "one fault window, repeatable: "
+     "crash@t=2s,dur=1s,service=X,instance=0 "
+     "crash@t=2s,dur=1s,service=X,group=0,role=leader "
+     "errors@t=1s,dur=2s,service=X,rate=0.5 "
+     "slow@t=1s,dur=2s,server=0,factor=10 "
+     "partition@t=3s,dur=1s,a=0-1,b=2-4,loss=1"},
+    {nullptr, "--faults", "FILE",
+     Field::Custom{nullptr, nullptr, faultFileFromFlag},
+     "JSON fault schedule (see docs/RESILIENCE.md)"},
+};
+
+// -- Generated from the table -------------------------------------------
+
+/** The member type behind a slot alternative (void if not a member). */
+template <typename S>
+struct MemberType
+{
+    using type = void;
+};
+template <typename T>
+struct MemberType<T Scenario::*>
+{
+    using type = T;
+};
+
+template <typename T>
+constexpr bool kIsNumeric = std::is_arithmetic_v<T> &&
+                            !std::is_same_v<T, bool>;
+
+/** Set @p f's member from @p text; errors name the value's @p where. */
+bool
+setFromText(const Field &f, Scenario &s, const std::string &text,
+            const std::string &where, std::string &error)
+{
+    auto bad = [&](const char *what, const char *hint = "") {
+        error = strCat("bad ", what, " '", text, "' for ", where, hint);
+        return false;
+    };
+    return std::visit([&](auto slot) -> bool {
+        using S = decltype(slot);
+        using T = typename MemberType<S>::type;
+        std::uint64_t n = 0;
+        if constexpr (std::is_same_v<S, Field::Custom>) {
+            return slot.fromFlag(text, s, error);
+        } else if constexpr (std::is_same_v<S, Field::Duration>) {
+            return fault::parseDuration(text, s.*slot.member) ||
+                   bad("duration", " (want e.g. 50ms, 2s, 800us)");
+        } else if constexpr (std::is_same_v<T, bool>) {
+            s.*slot = true; // a switch takes no value
+            return true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            s.*slot = text;
+            return true;
+        } else if constexpr (std::is_same_v<T, double>) {
+            return fault::parseNumber(text, s.*slot) ||
+                   bad("number", " (want a finite number)");
+        } else {
+            return fault::parseCount(text, n)
+                       ? storeCount(s.*slot, n, where, error)
+                       : bad("non-negative integer");
+        }
+    }, f.slot);
+}
+
+bool
+setFromJson(const Field &f, Scenario &s, const json::Value &v,
+            std::string &error)
+{
+    if (const auto *c = std::get_if<Field::Custom>(&f.slot))
+        return c->fromJson(v, s, error);
+    const std::string where = strCat("scenario key '", f.key, "'");
+    const auto *sw = std::get_if<bool Scenario::*>(&f.slot);
+    if (sw && v.isBool()) {
+        s.**sw = v.boolean;
+        return true;
+    }
+    const bool text = std::holds_alternative<std::string Scenario::*>(f.slot);
+    const bool dur = std::holds_alternative<Field::Duration>(f.slot);
+    if (!sw && (v.isString() ? text || dur : v.isNumber() && !text))
+        return setFromText(f, s, jsonText(v), where, error);
+    error = strCat(where, " must be ",
+                   sw     ? "a boolean"
+                   : text ? "a string"
+                   : dur  ? "a duration (e.g. \"50ms\")"
+                          : "a number");
+    return false;
+}
+
+void
+writeField(json::Writer &w, const Field &f, const std::string &name,
+           const Scenario &s)
+{
+    std::visit([&](auto slot) {
+        using S = decltype(slot);
+        using T = typename MemberType<S>::type;
+        if constexpr (std::is_same_v<S, Field::Custom>)
+            slot.toJson(w, name, s);
+        else if constexpr (std::is_same_v<S, Field::Duration>)
+            w.field(name, ticksField(s.*slot.member));
+        else if constexpr (kIsNumeric<T> && !std::is_same_v<T, double>)
+            w.field(name, static_cast<std::uint64_t>(s.*slot));
+        else
+            w.field(name, s.*slot);
+    }, f.slot);
+}
+
+/** A number, count or duration row's value; NaN for other kinds. */
+double
+numericValue(const Field &f, const Scenario &s)
+{
+    return std::visit([&](auto slot) -> double {
+        using S = decltype(slot);
+        if constexpr (std::is_same_v<S, Field::Duration>)
+            return static_cast<double>(s.*slot.member);
+        else if constexpr (kIsNumeric<typename MemberType<S>::type>)
+            return static_cast<double>(s.*slot);
+        else
+            return std::numeric_limits<double>::quiet_NaN();
+    }, f.slot);
+}
+
+/** @p f's value as --help shows a default; "" for switches/custom. */
+std::string
+valueText(const Field &f, const Scenario &s)
+{
+    return std::visit([&](auto slot) -> std::string {
+        using S = decltype(slot);
+        using T = typename MemberType<S>::type;
+        if constexpr (std::is_same_v<S, Field::Duration>) {
+            const Tick t = s.*slot.member;
+            return t % kTicksPerSec == 0  ? strCat(t / kTicksPerSec, "s")
+                   : t % kTicksPerMs == 0 ? strCat(t / kTicksPerMs, "ms")
+                   : t % kTicksPerUs == 0 ? strCat(t / kTicksPerUs, "us")
+                                          : ticksField(t);
+        } else if constexpr (kIsNumeric<T> ||
+                             std::is_same_v<T, std::string>) {
+            return strCat(s.*slot);
+        } else {
+            return "";
+        }
+    }, f.slot);
+}
+
+/** "lru | lfu | slru" from "lru|lfu|slru" (an empty value left out). */
+std::string
+namesText(const char *names)
+{
+    std::string out;
+    for (const char *c = names + (*names == '|'); *c; ++c)
+        out += *c == '|' ? std::string(" | ") : std::string(1, *c);
+    return out;
+}
+
+bool
+hasRange(const Range &r)
+{
+    return std::isfinite(r.lo) || std::isfinite(r.hi);
+}
+
+std::string
+rangeText(const Range &r)
+{
+    if (std::isfinite(r.lo) && std::isfinite(r.hi))
+        return strCat("in ", r.loOpen ? "(" : "[", r.lo, ", ", r.hi,
+                      r.hiOpen ? ")" : "]");
+    if (std::isfinite(r.lo))
+        return strCat(r.loOpen ? "> " : ">= ", r.lo);
+    return strCat(r.hiOpen ? "< " : "<= ", r.hi);
+}
+
+/** The row's own check: enum membership or numeric range. */
+bool
+checkField(const Field &f, const Scenario &s, std::string &error)
+{
+    const std::string label =
+        f.flag ? strCat(f.key, " (", f.flag, ")") : std::string(f.key);
+    if (f.names) {
+        const std::string v = valueText(f, s);
+        if (v.find('|') == std::string::npos &&
+            strCat("|", f.names, "|").find("|" + v + "|") !=
+                std::string::npos)
+            return true;
+        error = strCat("unknown ", label, " '", v, "' (want ",
+                       namesText(f.names), ")");
+        return false;
+    }
+    if (!hasRange(f.range) || f.range.contains(numericValue(f, s)))
+        return true;
+    error = strCat(label, " must be ", rangeText(f.range));
+    return false;
+}
+
+/** The row whose key or flag (@p name) equals @p value. */
+const Field *
+findRow(const char *Field::*name, const std::string &value)
+{
+    for (const Field &f : kFields)
+        if (f.*name && value == f.*name)
+            return &f;
+    return nullptr;
+}
+
+/** True when @p name is a block of keys ("data" holds data.keys). */
+bool
+isBlock(const std::string &name)
+{
+    for (const Field &f : kFields)
+        if (f.key && std::string_view(f.key).starts_with(name + "."))
+            return true;
+    return false;
+}
+
 } // namespace
+
+std::span<const ScenarioField>
+scenarioFields()
+{
+    return kFields;
+}
+
+const ScenarioField *
+findScenarioFlag(const std::string &flag)
+{
+    return findRow(&Field::flag, flag);
+}
+
+bool
+applyScenarioFlag(const ScenarioField &f, const std::string &value,
+                  Scenario &s, std::string &error)
+{
+    if (!setFromText(f, s, value, f.flag, error))
+        return false;
+    const std::string_view flag = f.flag;
+    if (flag.starts_with("--qos-"))
+        s.qosEnabled = true;
+    if (flag.starts_with("--slo-") || flag.starts_with("--timeseries-"))
+        s.obsEnabled = true;
+    return true;
+}
+
+std::string
+helpEntry(const std::string &flag, const std::string &text)
+{
+    constexpr std::size_t kColumn = 26, kWidth = 79;
+    std::string out, line = "  " + flag + " ";
+    line.resize(std::max(line.size(), kColumn), ' ');
+    std::istringstream words(text);
+    for (std::string word; words >> word; line += word + " ") {
+        if (line.size() + word.size() > kWidth &&
+            line.find_first_not_of(' ', kColumn) != std::string::npos) {
+            out += line.substr(0, line.find_last_not_of(' ') + 1) + "\n";
+            line.assign(kColumn, ' ');
+        }
+    }
+    return out + line.substr(0, line.find_last_not_of(' ') + 1) + "\n";
+}
+
+std::string
+scenarioFlagHelp()
+{
+    const Scenario defaults;
+    std::string out;
+    for (const Field &f : kFields) {
+        if (f.flag == nullptr)
+            continue;
+        std::string notes;
+        auto note = [&](const std::string &n) {
+            notes += (notes.empty() ? " (" : "; ") + n;
+        };
+        if (f.names)
+            note(namesText(f.names));
+        if (hasRange(f.range))
+            note(rangeText(f.range));
+        if (const std::string def = valueText(f, defaults); !def.empty())
+            note("default " + def);
+        out += helpEntry(strCat(f.flag, " ", f.arg),
+                         f.help + notes + (notes.empty() ? "" : ")"));
+    }
+    return out;
+}
+
+bool
+validateScenario(const Scenario &s, std::string &error)
+{
+    for (const Field &f : kFields)
+        if (f.key && !checkField(f, s, error))
+            return false;
+    auto fail = [&](std::string msg) {
+        error = std::move(msg);
+        return false;
+    };
+
+    if (s.qosWeightUser == 0 || s.qosWeightBatch == 0 ||
+        s.qosWeightBest == 0)
+        return fail("qos.weights (--qos-weights) must all be >= 1");
+    if (s.dataKeys > 0 && s.dataCapacity == 0)
+        return fail("data.capacity (--cache-capacity) must be positive "
+                    "when data.keys (--cache-keys) is set");
+    if (s.replicaFactor == 1)
+        return fail("replication.factor (--replica-factor) must be 0 "
+                    "(off) or >= 2");
+    if (s.replicaFactor >= 2 && s.dataKeys == 0)
+        return fail("replication.factor (--replica-factor) needs "
+                    "data.keys (--cache-keys) > 0");
+    if (s.replicaQuorum > s.replicaFactor)
+        return fail("replication.quorum (--replica-quorum) must be <= "
+                    "replication.factor (--replica-factor)");
+    if (s.replicaFactor >= 2 &&
+        (s.replicaApplyLag == 0 || s.replicaElectionTimeout == 0))
+        return fail("replication.apply_lag and .election_timeout "
+                    "(--replica-apply-lag, --replica-election-timeout) "
+                    "must be positive");
+    if (s.txnKeys == 1)
+        return fail("replication.txn_keys (--txn-keys) must be 0 (off) "
+                    "or >= 2");
+    if (s.txnKeys >= 2 && s.replicaFactor < 2)
+        return fail("replication.txn_keys (--txn-keys) needs "
+                    "replication.factor (--replica-factor) >= 2");
+    if (s.txnKeys >= 2 && s.txnPrepareTimeout == 0)
+        return fail("replication.txn_prepare_timeout "
+                    "(--txn-prepare-timeout) must be positive");
+
+    if (!s.pins.empty() && s.placement != "partition")
+        return fail("placement.pin (--pin) needs placement.mode "
+                    "'partition' (--placement partition)");
+    if (s.placement == "partition") {
+        // Partitioning splits ONE world across shards; features that
+        // assume either replica worlds or whole-world ownership of the
+        // fault/offload machinery are rejected rather than silently
+        // mis-modelled.
+        const char *unsupported =
+            !s.faults.empty()               ? "faults (--fault)"
+            : s.replicaFactor >= 2          ? "replication (--replica-factor)"
+            : s.fpga                        ? "fpga (--fpga)"
+            : !s.lambda.empty()             ? "lambda tiers (--lambda)"
+            : s.app.rfind("swarm-", 0) == 0 ? "swarm apps (--app)"
+                                            : nullptr;
+        if (unsupported)
+            return fail(strCat("placement 'partition' (--placement) does "
+                               "not support ",
+                               unsupported));
+        for (std::size_t i = 0; i < s.pins.size(); ++i) {
+            if (s.pins[i].shard >= s.shards)
+                return fail(strCat("placement pin '", s.pins[i].tier,
+                                   "' targets shard ", s.pins[i].shard,
+                                   " but only ", s.shards,
+                                   " shards exist"));
+            for (std::size_t j = 0; j < i; ++j)
+                if (s.pins[i].tier == s.pins[j].tier)
+                    return fail(strCat("duplicate placement pin for "
+                                       "tier '",
+                                       s.pins[i].tier, "'"));
+        }
+    }
+
+    if (!s.genProfile.empty() &&
+        gen::genProfileByName(s.genProfile) == nullptr)
+        return fail(strCat("unknown generate.profile (--generate) '",
+                           s.genProfile, "' (try --list-gen-profiles)"));
+    if (s.genProfile.empty() &&
+        (s.genDepth != 0 || s.genWidth != 0 || s.genFanout != 0.0))
+        return fail("generate.depth/width/fanout (--gen-depth/--gen-width/"
+                    "--gen-fanout) need generate.profile (--generate)");
+    return true;
+}
 
 bool
 parseScenarioJson(const std::string &text, Scenario &out,
@@ -117,690 +859,34 @@ parseScenarioJson(const std::string &text, Scenario &out,
     }
 
     Scenario s = out; // absent keys keep the caller's defaults
-
-    auto wantNumber = [&](const json::Value &v, const std::string &key,
-                          double &dst) {
-        if (!v.isNumber()) {
-            error = strCat("scenario key '", key, "' must be a number");
-            return false;
-        }
-        dst = v.number;
-        return true;
-    };
-    auto wantUnsigned = [&](const json::Value &v, const std::string &key,
-                            std::uint64_t &dst) {
-        if (!v.isNumber() || v.number < 0.0 ||
-            v.number != static_cast<double>(
-                            static_cast<std::uint64_t>(v.number))) {
-            error = strCat("scenario key '", key,
-                           "' must be a non-negative integer");
-            return false;
-        }
-        dst = static_cast<std::uint64_t>(v.number);
-        return true;
-    };
-    auto wantString = [&](const json::Value &v, const std::string &key,
-                          std::string &dst) {
-        if (!v.isString()) {
-            error = strCat("scenario key '", key, "' must be a string");
-            return false;
-        }
-        dst = v.string;
-        return true;
-    };
-    auto wantBool = [&](const json::Value &v, const std::string &key,
-                        bool &dst) {
-        if (!v.isBool()) {
-            error = strCat("scenario key '", key, "' must be a boolean");
-            return false;
-        }
-        dst = v.boolean;
-        return true;
-    };
-    auto wantDuration = [&](const json::Value &v, const std::string &key,
-                            Tick &dst) {
-        if (!durationFromValue(v, dst)) {
-            error = strCat("scenario key '", key,
-                           "' must be a duration (e.g. \"50ms\")");
-            return false;
-        }
-        return true;
-    };
-
-    for (const auto &kv : root.object) {
-        const std::string &key = kv.first;
-        const json::Value &v = kv.second;
-        std::uint64_t u = 0;
-        bool ok = true;
-        if (key == "app")
-            ok = wantString(v, key, s.app);
-        else if (key == "qps")
-            ok = wantNumber(v, key, s.qps);
-        else if (key == "duration_sec")
-            ok = wantNumber(v, key, s.durationSec);
-        else if (key == "warmup_sec")
-            ok = wantNumber(v, key, s.warmupSec);
-        else if (key == "servers") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.servers = static_cast<unsigned>(u);
-        } else if (key == "drones") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.drones = static_cast<unsigned>(u);
-        } else if (key == "core")
-            ok = wantString(v, key, s.core);
-        else if (key == "freq_mhz")
-            ok = wantNumber(v, key, s.freqMhz);
-        else if (key == "fpga")
-            ok = wantBool(v, key, s.fpga);
-        else if (key == "lambda")
-            ok = wantString(v, key, s.lambda);
-        else if (key == "slow_servers") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.slowServers = static_cast<unsigned>(u);
-        } else if (key == "slow_factor")
-            ok = wantNumber(v, key, s.slowFactor);
-        else if (key == "skew")
-            ok = wantNumber(v, key, s.skew);
-        else if (key == "users")
-            ok = wantUnsigned(v, key, s.users);
-        else if (key == "seed")
-            ok = wantUnsigned(v, key, s.seed);
-        else if (key == "shards") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.shards = static_cast<unsigned>(u);
-        } else if (key == "threads") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.threads = static_cast<unsigned>(u);
-        } else if (key == "rpc_timeout")
-            ok = wantDuration(v, key, s.rpcTimeout);
-        else if (key == "deadline")
-            ok = wantDuration(v, key, s.deadline);
-        else if (key == "retries") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.retries = static_cast<unsigned>(u);
-        } else if (key == "retry_budget")
-            ok = wantNumber(v, key, s.retryBudget);
-        else if (key == "breaker")
-            ok = wantBool(v, key, s.breaker);
-        else if (key == "shed") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.shed = static_cast<unsigned>(u);
-        } else if (key == "trace_capacity") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.traceCapacity = static_cast<std::size_t>(u);
-        } else if (key == "data") {
-            if (!v.isObject()) {
-                error = "scenario key 'data' must be an object";
-                return false;
-            }
-            for (const auto &dkv : v.object) {
-                const std::string dkey = "data." + dkv.first;
-                const json::Value &dv = dkv.second;
-                bool dok = true;
-                if (dkv.first == "keys")
-                    dok = wantUnsigned(dv, dkey, s.dataKeys);
-                else if (dkv.first == "capacity")
-                    dok = wantUnsigned(dv, dkey, s.dataCapacity);
-                else if (dkv.first == "policy")
-                    dok = wantString(dv, dkey, s.dataPolicy);
-                else if (dkv.first == "popularity")
-                    dok = wantString(dv, dkey, s.dataPopularity);
-                else if (dkv.first == "zipf_s")
-                    dok = wantNumber(dv, dkey, s.dataZipfS);
-                else if (dkv.first == "hot_fraction")
-                    dok = wantNumber(dv, dkey, s.dataHotFraction);
-                else if (dkv.first == "hot_mass")
-                    dok = wantNumber(dv, dkey, s.dataHotMass);
-                else if (dkv.first == "ttl")
-                    dok = wantDuration(dv, dkey, s.dataTtl);
-                else if (dkv.first == "write")
-                    dok = wantString(dv, dkey, s.dataWrite);
-                else if (dkv.first == "shift_period")
-                    dok = wantDuration(dv, dkey, s.dataShiftPeriod);
-                else if (dkv.first == "vnodes") {
-                    if ((dok = wantUnsigned(dv, dkey, u)))
-                        s.dataVnodes = static_cast<unsigned>(u);
-                } else {
-                    error = strCat("unknown scenario key 'data.",
-                                   dkv.first, "'");
-                    return false;
-                }
-                if (!dok)
-                    return false;
-            }
-        } else if (key == "qos") {
-            if (!v.isObject()) {
-                error = "scenario key 'qos' must be an object";
-                return false;
-            }
-            for (const auto &qkv : v.object) {
-                const std::string qkey = "qos." + qkv.first;
-                const json::Value &qv = qkv.second;
-                bool qok = true;
-                if (qkv.first == "enabled")
-                    qok = wantBool(qv, qkey, s.qosEnabled);
-                else if (qkv.first == "weights") {
-                    std::string triple;
-                    if ((qok = wantString(qv, qkey, triple)) &&
-                        !parseQosWeights(triple, s.qosWeightUser,
-                                         s.qosWeightBatch,
-                                         s.qosWeightBest)) {
-                        error = strCat(
-                            "scenario key 'qos.weights' must be three "
-                            "positive integers \"user,batch,best\", "
-                            "got '",
-                            triple, "'");
-                        return false;
-                    }
-                } else if (qkv.first == "queue") {
-                    if ((qok = wantUnsigned(qv, qkey, u)))
-                        s.qosQueue = static_cast<unsigned>(u);
-                } else if (qkv.first == "rate")
-                    qok = wantNumber(qv, qkey, s.qosRate);
-                else if (qkv.first == "burst")
-                    qok = wantNumber(qv, qkey, s.qosBurst);
-                else if (qkv.first == "shed_batch")
-                    qok = wantNumber(qv, qkey, s.qosShedBatch);
-                else if (qkv.first == "shed_best")
-                    qok = wantNumber(qv, qkey, s.qosShedBest);
-                else if (qkv.first == "batch")
-                    qok = wantString(qv, qkey, s.qosBatch);
-                else if (qkv.first == "best_effort")
-                    qok = wantString(qv, qkey, s.qosBestEffort);
-                else {
-                    error = strCat("unknown scenario key 'qos.",
-                                   qkv.first, "'");
-                    return false;
-                }
-                if (!qok)
-                    return false;
-            }
-        } else if (key == "replication") {
-            if (!v.isObject()) {
-                error = "scenario key 'replication' must be an object";
-                return false;
-            }
-            for (const auto &rkv : v.object) {
-                const std::string rkey = "replication." + rkv.first;
-                const json::Value &rv = rkv.second;
-                bool rok = true;
-                if (rkv.first == "factor") {
-                    if ((rok = wantUnsigned(rv, rkey, u)))
-                        s.replicaFactor = static_cast<unsigned>(u);
-                } else if (rkv.first == "quorum") {
-                    if ((rok = wantUnsigned(rv, rkey, u)))
-                        s.replicaQuorum = static_cast<unsigned>(u);
-                } else if (rkv.first == "apply_lag")
-                    rok = wantDuration(rv, rkey, s.replicaApplyLag);
-                else if (rkv.first == "election_timeout")
-                    rok = wantDuration(rv, rkey,
-                                       s.replicaElectionTimeout);
-                else if (rkv.first == "catch_up")
-                    rok = wantDuration(rv, rkey, s.replicaCatchUp);
-                else if (rkv.first == "read")
-                    rok = wantString(rv, rkey, s.replicaRead);
-                else if (rkv.first == "txn_keys") {
-                    if ((rok = wantUnsigned(rv, rkey, u)))
-                        s.txnKeys = static_cast<unsigned>(u);
-                } else if (rkv.first == "txn_prepare_timeout")
-                    rok = wantDuration(rv, rkey, s.txnPrepareTimeout);
-                else {
-                    error = strCat("unknown scenario key 'replication.",
-                                   rkv.first, "'");
-                    return false;
-                }
-                if (!rok)
-                    return false;
-            }
-        } else if (key == "slo") {
-            if (!v.isObject()) {
-                error = "scenario key 'slo' must be an object";
-                return false;
-            }
-            for (const auto &okv : v.object) {
-                const std::string okey = "slo." + okv.first;
-                const json::Value &ov = okv.second;
-                bool ook = true;
-                if (okv.first == "enabled")
-                    ook = wantBool(ov, okey, s.obsEnabled);
-                else if (okv.first == "interval")
-                    ook = wantDuration(ov, okey, s.obsInterval);
-                else if (okv.first == "ring")
-                    ook = wantUnsigned(ov, okey, s.obsRing);
-                else if (okv.first == "latency")
-                    ook = wantDuration(ov, okey, s.sloLatency);
-                else if (okv.first == "quantile")
-                    ook = wantNumber(ov, okey, s.sloQuantile);
-                else if (okv.first == "window") {
-                    if ((ook = wantUnsigned(ov, okey, u)))
-                        s.sloWindow = static_cast<unsigned>(u);
-                } else if (okv.first == "error_rate")
-                    ook = wantNumber(ov, okey, s.sloErrorRate);
-                else if (okv.first == "tier")
-                    ook = wantString(ov, okey, s.sloTier);
-                else {
-                    error = strCat("unknown scenario key 'slo.",
-                                   okv.first, "'");
-                    return false;
-                }
-                if (!ook)
-                    return false;
-            }
-        } else if (key == "placement") {
-            if (!v.isObject()) {
-                error = "scenario key 'placement' must be an object";
-                return false;
-            }
-            for (const auto &pkv : v.object) {
-                const std::string pkey = "placement." + pkv.first;
-                const json::Value &pv = pkv.second;
-                if (pkv.first == "mode") {
-                    if (!wantString(pv, pkey, s.placement))
-                        return false;
-                } else if (pkv.first == "pin") {
-                    if (!pv.isArray()) {
-                        error =
-                            "scenario key 'placement.pin' must be an "
-                            "array";
-                        return false;
-                    }
-                    s.pins.clear();
-                    for (const json::Value &entry : pv.array) {
-                        if (!entry.isObject()) {
-                            error = "placement.pin entries must be "
-                                    "objects";
-                            return false;
-                        }
-                        data::PlacementPin pin;
-                        bool have_tier = false;
-                        for (const auto &ekv : entry.object) {
-                            const json::Value &ev = ekv.second;
-                            if (ekv.first == "tier") {
-                                if (!wantString(ev, "placement.pin.tier",
-                                                pin.tier))
-                                    return false;
-                                have_tier = true;
-                            } else if (ekv.first == "shard") {
-                                if (!wantUnsigned(
-                                        ev, "placement.pin.shard", u))
-                                    return false;
-                                pin.shard = static_cast<unsigned>(u);
-                            } else {
-                                error = strCat(
-                                    "unknown scenario key "
-                                    "'placement.pin.",
-                                    ekv.first, "'");
-                                return false;
-                            }
-                        }
-                        if (!have_tier) {
-                            error = "placement.pin entries need a "
-                                    "'tier' name";
-                            return false;
-                        }
-                        s.pins.push_back(std::move(pin));
-                    }
-                } else {
-                    error = strCat("unknown scenario key 'placement.",
-                                   pkv.first, "'");
-                    return false;
-                }
-            }
-        } else if (key == "generate") {
-            if (!v.isObject()) {
-                error = "scenario key 'generate' must be an object";
-                return false;
-            }
-            for (const auto &gkv : v.object) {
-                const std::string gkey = "generate." + gkv.first;
-                const json::Value &gv = gkv.second;
-                bool gok = true;
-                if (gkv.first == "profile")
-                    gok = wantString(gv, gkey, s.genProfile);
-                else if (gkv.first == "seed")
-                    gok = wantUnsigned(gv, gkey, s.genSeed);
-                else if (gkv.first == "depth") {
-                    if ((gok = wantUnsigned(gv, gkey, u)))
-                        s.genDepth = static_cast<unsigned>(u);
-                } else if (gkv.first == "width") {
-                    if ((gok = wantUnsigned(gv, gkey, u)))
-                        s.genWidth = static_cast<unsigned>(u);
-                } else if (gkv.first == "fanout")
-                    gok = wantNumber(gv, gkey, s.genFanout);
-                else {
-                    error = strCat("unknown scenario key 'generate.",
-                                   gkv.first, "'");
-                    return false;
-                }
-                if (!gok)
-                    return false;
-            }
-        } else if (key == "arrival") {
-            if (!v.isObject()) {
-                error = "scenario key 'arrival' must be an object";
-                return false;
-            }
-            for (const auto &akv : v.object) {
-                const std::string akey = "arrival." + akv.first;
-                const json::Value &av = akv.second;
-                bool aok = true;
-                if (akv.first == "kind")
-                    aok = wantString(av, akey, s.arrival);
-                else if (akv.first == "burst")
-                    aok = wantNumber(av, akey, s.arrivalBurst);
-                else if (akv.first == "duty")
-                    aok = wantNumber(av, akey, s.arrivalDuty);
-                else if (akv.first == "dwell")
-                    aok = wantDuration(av, akey, s.arrivalDwell);
-                else if (akv.first == "period")
-                    aok = wantDuration(av, akey, s.arrivalPeriod);
-                else if (akv.first == "low")
-                    aok = wantNumber(av, akey, s.arrivalLow);
-                else if (akv.first == "flash_at")
-                    aok = wantDuration(av, akey, s.arrivalFlashAt);
-                else if (akv.first == "flash_ramp")
-                    aok = wantDuration(av, akey, s.arrivalFlashRamp);
-                else if (akv.first == "flash_mult")
-                    aok = wantNumber(av, akey, s.arrivalFlashMult);
-                else if (akv.first == "flash_hold")
-                    aok = wantDuration(av, akey, s.arrivalFlashHold);
-                else {
-                    error = strCat("unknown scenario key 'arrival.",
-                                   akv.first, "'");
-                    return false;
-                }
-                if (!aok)
-                    return false;
-            }
-        } else if (key == "faults") {
-            if (!v.isArray()) {
-                error = "scenario key 'faults' must be an array";
-                return false;
-            }
-            s.faults.clear();
-            for (const json::Value &entry : v.array) {
-                fault::FaultSpec spec;
-                if (!fault::faultFromJson(entry, spec, error))
-                    return false;
-                s.faults.push_back(std::move(spec));
-            }
-        } else {
+    auto read = [&](const std::string &block, const std::string &name,
+                    const json::Value &v) {
+        const std::string key = block.empty() ? name : block + "." + name;
+        // Dotted names exist only as members of their block's object.
+        const Field *f = name.find('.') == std::string::npos
+                             ? findRow(&Field::key, key)
+                             : nullptr;
+        if (f == nullptr) {
             error = strCat("unknown scenario key '", key, "'");
             return false;
         }
-        if (!ok)
-            return false;
-    }
-
-    // The same sanity rules uqsim_run enforces on flags.
-    if (s.qps <= 0.0) {
-        error = "qps must be positive";
-        return false;
-    }
-    if (s.durationSec <= 0.0) {
-        error = "duration_sec must be positive";
-        return false;
-    }
-    if (s.warmupSec < 0.0) {
-        error = "warmup_sec must be non-negative";
-        return false;
-    }
-    if (s.servers == 0) {
-        error = "servers must be positive";
-        return false;
-    }
-    if (s.shards == 0 || s.threads == 0) {
-        error = "shards and threads must be positive";
-        return false;
-    }
-    if (s.skew >= 100.0) {
-        error = "skew must be below 100";
-        return false;
-    }
-    if (s.retryBudget < 0.0) {
-        error = "retry_budget must be >= 0";
-        return false;
-    }
-    if (!s.lambda.empty() && s.lambda != "s3" && s.lambda != "mem") {
-        error = strCat("unknown lambda kind '", s.lambda,
-                       "' (want s3 or mem)");
-        return false;
-    }
-    cpu::CoreModel unused;
-    if (!coreModelByName(s.core, unused)) {
-        error = strCat("unknown core model '", s.core, "'");
-        return false;
-    }
-    data::CachePolicy pol;
-    if (!data::cachePolicyByName(s.dataPolicy, pol)) {
-        error = strCat("unknown data.policy '", s.dataPolicy,
-                       "' (want lru, lfu or slru)");
-        return false;
-    }
-    data::Popularity pop;
-    if (!data::popularityByName(s.dataPopularity, pop)) {
-        error = strCat("unknown data.popularity '", s.dataPopularity,
-                       "' (want zipf, uniform or hotspot)");
-        return false;
-    }
-    data::WritePolicy wp;
-    if (!data::writePolicyByName(s.dataWrite, wp)) {
-        error = strCat("unknown data.write '", s.dataWrite,
-                       "' (want through or invalidate)");
-        return false;
-    }
-    if (s.dataKeys > 0 && s.dataCapacity == 0) {
-        error = "data.capacity must be positive when data.keys is set";
-        return false;
-    }
-    if (s.dataZipfS < 0.0) {
-        error = "data.zipf_s must be >= 0";
-        return false;
-    }
-    if (s.dataHotFraction <= 0.0 || s.dataHotFraction > 1.0) {
-        error = "data.hot_fraction must be in (0, 1]";
-        return false;
-    }
-    if (s.dataHotMass < 0.0 || s.dataHotMass > 1.0) {
-        error = "data.hot_mass must be in [0, 1]";
-        return false;
-    }
-    if (s.dataVnodes == 0) {
-        error = "data.vnodes must be positive";
-        return false;
-    }
-    if (s.qosWeightUser == 0 || s.qosWeightBatch == 0 ||
-        s.qosWeightBest == 0) {
-        error = "qos.weights must all be >= 1";
-        return false;
-    }
-    if (s.qosRate < 0.0) {
-        error = "qos.rate must be >= 0";
-        return false;
-    }
-    if (s.qosBurst <= 0.0) {
-        error = "qos.burst must be positive";
-        return false;
-    }
-    if (s.qosShedBatch <= 0.0 || s.qosShedBatch > 1.0) {
-        error = "qos.shed_batch must be in (0, 1]";
-        return false;
-    }
-    if (s.qosShedBest <= 0.0 || s.qosShedBest > 1.0) {
-        error = "qos.shed_best must be in (0, 1]";
-        return false;
-    }
-    replica::ReadPreference rp;
-    if (!replica::readPreferenceByName(s.replicaRead, rp)) {
-        error = strCat("unknown replication.read '", s.replicaRead,
-                       "' (want leader, nearest or ryw)");
-        return false;
-    }
-    if (s.replicaFactor >= 2 && s.dataKeys == 0) {
-        error = "replication.factor needs data.keys > 0";
-        return false;
-    }
-    if (s.replicaFactor == 1) {
-        error = "replication.factor must be 0 (off) or >= 2";
-        return false;
-    }
-    if (s.replicaQuorum > s.replicaFactor) {
-        error = "replication.quorum must be <= replication.factor";
-        return false;
-    }
-    if (s.txnKeys == 1) {
-        error = "replication.txn_keys must be 0 (off) or >= 2";
-        return false;
-    }
-    if (s.txnKeys >= 2 && s.replicaFactor < 2) {
-        error = "replication.txn_keys needs replication.factor >= 2";
-        return false;
-    }
-    if (s.replicaFactor >= 2 && s.replicaApplyLag == 0) {
-        error = "replication.apply_lag must be positive";
-        return false;
-    }
-    if (s.replicaFactor >= 2 && s.replicaElectionTimeout == 0) {
-        error = "replication.election_timeout must be positive";
-        return false;
-    }
-    if (s.txnKeys >= 2 && s.txnPrepareTimeout == 0) {
-        error = "replication.txn_prepare_timeout must be positive";
-        return false;
-    }
-    if (s.obsInterval == 0) {
-        error = "slo.interval must be positive";
-        return false;
-    }
-    if (s.obsRing == 0) {
-        error = "slo.ring must be positive";
-        return false;
-    }
-    if (s.sloQuantile <= 0.0 || s.sloQuantile >= 1.0) {
-        error = "slo.quantile must be in (0, 1)";
-        return false;
-    }
-    if (s.sloWindow == 0) {
-        error = "slo.window must be positive";
-        return false;
-    }
-    if (s.sloErrorRate < 0.0 || s.sloErrorRate > 1.0) {
-        error = "slo.error_rate must be in [0, 1]";
-        return false;
-    }
-    if (s.placement != "none" && s.placement != "replicate" &&
-        s.placement != "partition") {
-        error = strCat("unknown placement.mode '", s.placement,
-                       "' (want none, replicate or partition)");
-        return false;
-    }
-    if (!s.pins.empty() && s.placement != "partition") {
-        error = "placement.pin needs placement.mode 'partition'";
-        return false;
-    }
-    if (s.placement == "partition") {
-        // Partitioning splits ONE world across shards; features that
-        // assume either replica worlds or whole-world ownership of the
-        // fault/offload machinery are rejected rather than silently
-        // mis-modelled.
-        if (!s.faults.empty()) {
-            error = "placement 'partition' does not support faults";
-            return false;
-        }
-        if (s.replicaFactor >= 2) {
-            error =
-                "placement 'partition' does not support replication";
-            return false;
-        }
-        if (s.fpga) {
-            error = "placement 'partition' does not support fpga";
-            return false;
-        }
-        if (!s.lambda.empty()) {
-            error =
-                "placement 'partition' does not support lambda tiers";
-            return false;
-        }
-        if (s.app.rfind("swarm-", 0) == 0) {
-            error = strCat("placement 'partition' does not support "
-                           "app '",
-                           s.app, "'");
-            return false;
-        }
-        for (const data::PlacementPin &pin : s.pins) {
-            if (pin.shard >= s.shards) {
-                error = strCat("placement pin '", pin.tier,
-                               "' targets shard ", pin.shard,
-                               " but only ", s.shards, " shards exist");
+        return setFromJson(*f, s, v, error);
+    };
+    for (const auto &[key, v] : root.object) {
+        if (!isBlock(key)) {
+            if (!read("", key, v))
                 return false;
-            }
-        }
-        for (std::size_t i = 0; i < s.pins.size(); ++i)
-            for (std::size_t j = 0; j < i; ++j)
-                if (s.pins[i].tier == s.pins[j].tier) {
-                    error = strCat("duplicate placement pin for tier '",
-                                   s.pins[i].tier, "'");
+        } else if (!v.isObject()) {
+            error = strCat("scenario key '", key, "' must be an object");
+            return false;
+        } else {
+            for (const auto &[name, member] : v.object)
+                if (!read(key, name, member))
                     return false;
-                }
+        }
     }
-    if (!s.genProfile.empty() &&
-        gen::genProfileByName(s.genProfile) == nullptr) {
-        error = strCat("unknown generate.profile '", s.genProfile,
-                       "' (try --list-gen-profiles)");
+    if (!validateScenario(s, error))
         return false;
-    }
-    if (s.genProfile.empty() &&
-        (s.genDepth != 0 || s.genWidth != 0 || s.genFanout != 0.0)) {
-        error = "generate.depth/width/fanout need generate.profile";
-        return false;
-    }
-    if (s.genDepth > 8) {
-        error = "generate.depth must be <= 8";
-        return false;
-    }
-    if (s.genWidth > 8) {
-        error = "generate.width must be <= 8";
-        return false;
-    }
-    if (s.genFanout < 0.0 || s.genFanout > 8.0) {
-        error = "generate.fanout must be in [0, 8]";
-        return false;
-    }
-    workload::ArrivalKind arrival_kind;
-    if (!workload::arrivalKindByName(s.arrival, arrival_kind)) {
-        error = strCat("unknown arrival.kind '", s.arrival,
-                       "' (want poisson, mmpp, diurnal or flash)");
-        return false;
-    }
-    if (s.arrivalBurst < 1.0) {
-        error = "arrival.burst must be >= 1";
-        return false;
-    }
-    if (s.arrivalDuty <= 0.0 || s.arrivalDuty >= 1.0) {
-        error = "arrival.duty must be in (0, 1)";
-        return false;
-    }
-    if (s.arrivalDwell == 0) {
-        error = "arrival.dwell must be positive";
-        return false;
-    }
-    if (s.arrivalPeriod == 0) {
-        error = "arrival.period must be positive";
-        return false;
-    }
-    if (s.arrivalLow <= 0.0 || s.arrivalLow > 1.0) {
-        error = "arrival.low must be in (0, 1]";
-        return false;
-    }
-    if (s.arrivalFlashMult < 1.0) {
-        error = "arrival.flash_mult must be >= 1";
-        return false;
-    }
-    if (s.arrivalFlashRamp == 0) {
-        error = "arrival.flash_ramp must be positive";
-        return false;
-    }
-
     out = std::move(s);
     return true;
 }
@@ -810,110 +896,26 @@ scenarioToJson(const Scenario &s)
 {
     json::Writer w;
     w.beginObject();
-    w.field("app", s.app);
-    w.field("qps", s.qps);
-    w.field("duration_sec", s.durationSec);
-    w.field("warmup_sec", s.warmupSec);
-    w.field("servers", s.servers);
-    w.field("drones", s.drones);
-    w.field("core", s.core);
-    w.field("freq_mhz", s.freqMhz);
-    w.field("fpga", s.fpga);
-    w.field("lambda", s.lambda);
-    w.field("slow_servers", s.slowServers);
-    w.field("slow_factor", s.slowFactor);
-    w.field("skew", s.skew);
-    w.field("users", s.users);
-    w.field("seed", s.seed);
-    w.field("shards", s.shards);
-    w.field("threads", s.threads);
-    w.field("rpc_timeout", ticksField(s.rpcTimeout));
-    w.field("deadline", ticksField(s.deadline));
-    w.field("retries", s.retries);
-    w.field("retry_budget", s.retryBudget);
-    w.field("breaker", s.breaker);
-    w.field("shed", s.shed);
-    w.field("trace_capacity",
-            static_cast<std::uint64_t>(s.traceCapacity));
-    w.beginObject("data");
-    w.field("keys", s.dataKeys);
-    w.field("capacity", s.dataCapacity);
-    w.field("policy", s.dataPolicy);
-    w.field("popularity", s.dataPopularity);
-    w.field("zipf_s", s.dataZipfS);
-    w.field("hot_fraction", s.dataHotFraction);
-    w.field("hot_mass", s.dataHotMass);
-    w.field("ttl", ticksField(s.dataTtl));
-    w.field("write", s.dataWrite);
-    w.field("shift_period", ticksField(s.dataShiftPeriod));
-    w.field("vnodes", s.dataVnodes);
-    w.endObject();
-    w.beginObject("qos");
-    w.field("enabled", s.qosEnabled);
-    w.field("weights", strCat(s.qosWeightUser, ",", s.qosWeightBatch,
-                              ",", s.qosWeightBest));
-    w.field("queue", s.qosQueue);
-    w.field("rate", s.qosRate);
-    w.field("burst", s.qosBurst);
-    w.field("shed_batch", s.qosShedBatch);
-    w.field("shed_best", s.qosShedBest);
-    w.field("batch", s.qosBatch);
-    w.field("best_effort", s.qosBestEffort);
-    w.endObject();
-    w.beginObject("replication");
-    w.field("factor", s.replicaFactor);
-    w.field("quorum", s.replicaQuorum);
-    w.field("apply_lag", ticksField(s.replicaApplyLag));
-    w.field("election_timeout", ticksField(s.replicaElectionTimeout));
-    w.field("catch_up", ticksField(s.replicaCatchUp));
-    w.field("read", s.replicaRead);
-    w.field("txn_keys", s.txnKeys);
-    w.field("txn_prepare_timeout", ticksField(s.txnPrepareTimeout));
-    w.endObject();
-    w.beginObject("slo");
-    w.field("enabled", s.obsEnabled);
-    w.field("interval", ticksField(s.obsInterval));
-    w.field("ring", s.obsRing);
-    w.field("latency", ticksField(s.sloLatency));
-    w.field("quantile", s.sloQuantile);
-    w.field("window", s.sloWindow);
-    w.field("error_rate", s.sloErrorRate);
-    w.field("tier", s.sloTier);
-    w.endObject();
-    w.beginObject("placement");
-    w.field("mode", s.placement);
-    w.beginArray("pin");
-    for (const data::PlacementPin &p : s.pins) {
-        w.beginObject();
-        w.field("tier", p.tier);
-        w.field("shard", p.shard);
-        w.endObject();
+    std::string block; // the open "data"/"qos"/... object, if any
+    for (const Field &f : kFields) {
+        if (f.key == nullptr)
+            continue;
+        const std::string key = f.key;
+        const std::size_t dot = key.find('.');
+        const std::string row_block =
+            dot == std::string::npos ? "" : key.substr(0, dot);
+        if (row_block != block) {
+            if (!block.empty())
+                w.endObject();
+            if (!row_block.empty())
+                w.beginObject(row_block);
+            block = row_block;
+        }
+        writeField(w, f,
+                   dot == std::string::npos ? key : key.substr(dot + 1), s);
     }
-    w.endArray();
-    w.endObject();
-    w.beginObject("generate");
-    w.field("profile", s.genProfile);
-    w.field("seed", s.genSeed);
-    w.field("depth", s.genDepth);
-    w.field("width", s.genWidth);
-    w.field("fanout", s.genFanout);
-    w.endObject();
-    w.beginObject("arrival");
-    w.field("kind", s.arrival);
-    w.field("burst", s.arrivalBurst);
-    w.field("duty", s.arrivalDuty);
-    w.field("dwell", ticksField(s.arrivalDwell));
-    w.field("period", ticksField(s.arrivalPeriod));
-    w.field("low", s.arrivalLow);
-    w.field("flash_at", ticksField(s.arrivalFlashAt));
-    w.field("flash_ramp", ticksField(s.arrivalFlashRamp));
-    w.field("flash_mult", s.arrivalFlashMult);
-    w.field("flash_hold", ticksField(s.arrivalFlashHold));
-    w.endObject();
-    w.beginArray("faults");
-    for (const fault::FaultSpec &f : s.faults)
-        writeFault(w, f);
-    w.endArray();
+    if (!block.empty())
+        w.endObject();
     w.endObject();
     return w.str() + "\n";
 }
@@ -967,30 +969,6 @@ replicationConfigFor(const Scenario &s)
     c.txnKeys = s.txnKeys;
     c.txnPrepareTimeout = s.txnPrepareTimeout;
     return c;
-}
-
-bool
-parseQosWeights(const std::string &text, unsigned &user,
-                unsigned &batch, unsigned &best)
-{
-    const std::vector<std::string> parts = splitNameList(text);
-    if (parts.size() != 3)
-        return false;
-    unsigned vals[3];
-    for (int i = 0; i < 3; ++i) {
-        const std::string &p = parts[i];
-        if (p.empty() ||
-            p.find_first_not_of("0123456789") != std::string::npos)
-            return false;
-        const unsigned long v = std::stoul(p);
-        if (v == 0 || v > 1000000)
-            return false;
-        vals[i] = static_cast<unsigned>(v);
-    }
-    user = vals[0];
-    batch = vals[1];
-    best = vals[2];
-    return true;
 }
 
 service::QosConfig
@@ -1072,6 +1050,9 @@ worldConfigFor(const Scenario &s)
 void
 buildScenarioApp(World &w, const Scenario &s)
 {
+    const std::string &n = s.app;
+    SwarmOptions so;
+    so.drones = s.drones;
     // A generate block replaces the hand-written app with a sampled
     // topology; every opt-in layer below composes with it unchanged.
     if (!s.genProfile.empty()) {
@@ -1085,20 +1066,7 @@ buildScenarioApp(World &w, const Scenario &s)
         ov.fanout = s.genFanout;
         gen::buildGeneratedApp(w,
                                gen::sampleTopology(*p, s.genSeed, ov));
-
-        if (s.dataKeys > 0)
-            w.app->enableKeyedData(dataTierConfigFor(s));
-        if (s.replicaFactor >= 2)
-            w.app->enableReplication(replicationConfigFor(s));
-        if (s.qosEnabled)
-            w.app->enableQos(qosConfigFor(s));
-        return;
-    }
-
-    const std::string &n = s.app;
-    SwarmOptions so;
-    so.drones = s.drones;
-    if (n == "social-network")
+    } else if (n == "social-network")
         buildSocialNetwork(w);
     else if (n == "social-monolith")
         buildSocialNetworkMonolith(w);
@@ -1301,15 +1269,30 @@ runWorld(WorldHandle &w, const LoadSpec &spec)
     return r;
 }
 
-ScenarioRunResult
-runScenario(const Scenario &s)
+LoadSpec
+loadSpecFor(const Scenario &s)
 {
-    const WorldConfig config = worldConfigFor(s);
+    LoadSpec load;
+    load.qps = s.qps;
+    load.warmup = secToTicks(s.warmupSec);
+    load.measure = secToTicks(s.durationSec);
+    load.users = s.skew >= 0.0
+                     ? workload::UserPopulation::skewed(s.users, s.skew)
+                     : workload::UserPopulation::uniform(s.users);
+    load.seed = s.seed + 1;
+    load.arrival = arrivalConfigFor(s);
+    return load;
+}
+
+ScenarioWorld
+deployScenario(const Scenario &s)
+{
     const Deployment deployment = s.placement == "partition"
                                       ? Deployment::Partition
                                       : Deployment::Replicate;
-    WorldHandle sharded(config, s.shards, s.threads, deployment);
-    const unsigned nshards = sharded.shards();
+    ScenarioWorld out;
+    out.handle = std::make_unique<WorldHandle>(worldConfigFor(s), s.shards,
+                                               s.threads, deployment);
 
     serverless::LambdaConfig lambda_cfg;
     if (!s.lambda.empty())
@@ -1317,12 +1300,11 @@ runScenario(const Scenario &s)
             s.lambda == "s3" ? serverless::StateStoreKind::S3
                              : serverless::StateStoreKind::RemoteMemory;
 
-    // Per-shard application order mirrors uqsim_run step for step, so
-    // a headless sweep run reproduces the CLI's digest bit-for-bit.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    std::vector<std::unique_ptr<obs::Pipeline>> pipelines;
-    for (unsigned i = 0; i < nshards; ++i) {
-        World &world = sharded.shard(i);
+    // Build and configure every shard identically (modulo its seed).
+    // Per-shard application order matches the classic single-world
+    // driver step for step, so one shard reproduces it bit-for-bit.
+    for (unsigned i = 0; i < out.handle->shards(); ++i) {
+        World &world = out.handle->shard(i);
         buildScenarioApp(world, s);
         service::App &app = *world.app;
 
@@ -1335,6 +1317,9 @@ runScenario(const Scenario &s)
             world.cluster.injectSlowServers(s.slowServers,
                                             s.slowFactor);
 
+        // Client-side resilience: the same policy on the callers of
+        // every tier. Left untouched (all knobs at defaults) the RPC
+        // path is the legacy one and digests match older builds.
         if (s.rpcTimeout || s.retries || s.breaker || s.shed) {
             for (service::Microservice *svc : app.services()) {
                 rpc::ResiliencePolicy &pol =
@@ -1356,32 +1341,31 @@ runScenario(const Scenario &s)
                 app, WorldHandle::shardSeed(s.seed, i));
             injector->addAll(s.faults);
             injector->arm();
-            injectors.push_back(std::move(injector));
+            out.injectors.push_back(std::move(injector));
         }
 
         if (auto pipe = attachObservability(world, s))
-            pipelines.push_back(std::move(pipe));
+            out.pipelines.push_back(std::move(pipe));
     }
+    // Pin every tier to its home shard now that each shard's
+    // (identical) graph exists. Dies on a pin naming an unknown tier,
+    // the one placement error validation alone cannot catch.
     if (deployment == Deployment::Partition)
-        sharded.enablePartition(s.pins);
+        out.handle->enablePartition(s.pins);
+    return out;
+}
 
-    LoadSpec load;
-    load.qps = s.qps;
-    load.warmup = secToTicks(s.warmupSec);
-    load.measure = secToTicks(s.durationSec);
-    load.users =
-        s.skew >= 0.0
-            ? workload::UserPopulation::skewed(s.users, s.skew)
-            : workload::UserPopulation::uniform(s.users);
-    load.seed = s.seed + 1;
-    load.arrival = arrivalConfigFor(s);
-
+ScenarioRunResult
+runScenario(const Scenario &s)
+{
+    ScenarioWorld world = deployScenario(s);
+    WorldHandle &h = *world.handle;
     ScenarioRunResult out;
-    out.load = runWorld(sharded, load);
-    out.digest = sharded.engine().executionDigest();
-    out.events = sharded.engine().eventsExecuted();
-    for (unsigned i = 0; i < nshards; ++i)
-        out.failed += sharded.shard(i).app->failedRequests();
+    out.load = runWorld(h, loadSpecFor(s));
+    out.digest = h.engine().executionDigest();
+    out.events = h.engine().eventsExecuted();
+    for (unsigned i = 0; i < h.shards(); ++i)
+        out.failed += h.shard(i).app->failedRequests();
     return out;
 }
 

@@ -35,8 +35,11 @@
 #define UQSIM_APPS_SCENARIO_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "apps/builder.hh"
@@ -44,6 +47,7 @@
 #include "data/config.hh"
 #include "data/placement.hh"
 #include "fault/fault.hh"
+#include "fault/injector.hh"
 #include "obs/pipeline.hh"
 #include "replica/replication.hh"
 #include "trace/collector.hh"
@@ -51,11 +55,16 @@
 #include "workload/load_sweep.hh"
 #include "workload/user_population.hh"
 
+namespace uqsim::json {
+struct Value;
+class Writer;
+} // namespace uqsim::json
+
 namespace uqsim::apps {
 
 /**
  * Everything that defines one run. Field-for-field the uqsim_run
- * option surface; see tools/uqsim_run.cc --help for semantics.
+ * option surface; scenarioFields() describes every member.
  */
 struct Scenario
 {
@@ -179,6 +188,101 @@ struct Scenario
     std::size_t traceCapacity = trace::TraceStore::kDefaultCapacity;
 };
 
+/**
+ * One scenario knob: its JSON key, its command-line flag, the Scenario
+ * member it sets and the check its value must pass. The table of these
+ * (scenarioFields()) is the only place a knob is spelled out; --help,
+ * flag parsing, JSON parsing, scenarioToJson() and per-field
+ * validation are all generated from it. Adding a knob is one row in
+ * scenario.cc plus one line in its *ConfigFor lowering.
+ */
+struct ScenarioField
+{
+    /** A Tick member, written "50ms" on the command line. */
+    struct Duration
+    {
+        Tick Scenario::*member;
+    };
+
+    /** A knob of irregular shape: its readers and writer by hand. */
+    struct Custom
+    {
+        bool (*fromJson)(const json::Value &v, Scenario &s,
+                         std::string &error);
+        void (*toJson)(json::Writer &w, const std::string &name,
+                       const Scenario &s);
+        bool (*fromFlag)(const std::string &value, Scenario &s,
+                         std::string &error);
+    };
+
+    /**
+     * The member a row reads and writes; the alternative is the value
+     * kind: number, switch, text (an enum when `names` is set),
+     * count (any unsigned width), duration or custom.
+     */
+    using Slot = std::variant<double Scenario::*, bool Scenario::*,
+                              std::string Scenario::*, unsigned Scenario::*,
+                              unsigned long Scenario::*,
+                              unsigned long long Scenario::*, Duration,
+                              Custom>;
+
+    /** Accepted values of a numeric knob; NaN is never in range. */
+    struct Range
+    {
+        double lo = -std::numeric_limits<double>::infinity();
+        double hi = std::numeric_limits<double>::infinity();
+        bool loOpen = false;
+        bool hiOpen = false;
+
+        bool
+        contains(double v) const
+        {
+            return (loOpen ? v > lo : v >= lo) &&
+                   (hiOpen ? v < hi : v <= hi);
+        }
+    };
+
+    const char *key;  ///< "qps", or "block.name"; nullptr: flag only
+    const char *flag; ///< "--qps"; nullptr: JSON only
+    const char *arg;  ///< value placeholder in --help ("" = no value)
+    Slot slot;
+    const char *help;
+    Range range = {};
+    /** Enum knobs: the allowed values, '|'-separated ("" may be one). */
+    const char *names = nullptr;
+
+    bool takesValue() const { return arg[0] != '\0'; }
+};
+
+/** Every scenario knob, in scenarioToJson() key order. */
+std::span<const ScenarioField> scenarioFields();
+
+/** The row whose flag is @p flag, or nullptr. */
+const ScenarioField *findScenarioFlag(const std::string &flag);
+
+/**
+ * Apply flag @p f with @p value ("" for a switch) to @p s. Any --qos-*
+ * flag also sets qosEnabled; any --slo-* or --timeseries-* flag sets
+ * obsEnabled. @return false and set @p error on a malformed value.
+ * Ranges and cross-field rules are checked later by validateScenario.
+ */
+bool applyScenarioFlag(const ScenarioField &f, const std::string &value,
+                       Scenario &s, std::string &error);
+
+/** The generated --help lines for every scenario flag. */
+std::string scenarioFlagHelp();
+
+/** One --help entry: "  --flag ARG", then @p text wrapped to 79 columns. */
+std::string helpEntry(const std::string &flag, const std::string &text);
+
+/**
+ * Check every field's range or enum, then the cross-field rules
+ * (replication needs keys, txn needs replication, the partition
+ * feature matrix, pins, generate overrides). Errors name both the
+ * JSON key and the flag. @return false and set @p error if invalid.
+ */
+bool validateScenario(const Scenario &s, std::string &error);
+
 /** The DataTierConfig a scenario's data fields describe. */
 data::DataTierConfig dataTierConfigFor(const Scenario &s);
 
@@ -212,19 +316,12 @@ std::unique_ptr<obs::Pipeline> attachObservability(World &w,
                                                    const Scenario &s);
 
 /**
- * Parse a "user,batch,best" weight triple (the --qos-weights / qos
- * weights format). @return false on malformed input or a zero weight
- * (a zero-weight class would starve under WRR).
- */
-bool parseQosWeights(const std::string &text, unsigned &user,
-                     unsigned &batch, unsigned &best);
-
-/**
  * Parse a scenario JSON document. Unknown keys are errors (typos must
  * not silently change a run). Durations accept "50ms"-style strings or
  * bare numbers (milliseconds); fields left out keep their defaults in
  * @p out as passed in, so CLI flags before --config act as defaults.
- * @return false and set @p error on malformed input.
+ * The result must pass validateScenario().
+ * @return false and set @p error on malformed or invalid input.
  */
 bool parseScenarioJson(const std::string &text, Scenario &out,
                        std::string &error);
@@ -354,6 +451,29 @@ struct LoadSpec
  */
 workload::LoadResult runWorld(WorldHandle &w, const LoadSpec &spec);
 
+/** The load window @p s describes (workload seed = seed + 1). */
+LoadSpec loadSpecFor(const Scenario &s);
+
+/**
+ * A scenario's world, ready for runWorld(). Members are declared so
+ * the pipelines die first, while the apps they tap are alive.
+ */
+struct ScenarioWorld
+{
+    std::unique_ptr<WorldHandle> handle;
+    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+    std::vector<std::unique_ptr<obs::Pipeline>> pipelines;
+};
+
+/**
+ * Build @p s's world the one way every driver does: the WorldHandle,
+ * each shard's app, the lambda/frequency/slow-server and resilience
+ * knobs, the armed fault schedule, observability and, in partition
+ * mode, placement. Dies on a configuration only the built world can
+ * reject (an unknown app, tier or query type).
+ */
+ScenarioWorld deployScenario(const Scenario &s);
+
 /** What one whole-scenario run produced (the sweep-harness surface). */
 struct ScenarioRunResult
 {
@@ -364,12 +484,9 @@ struct ScenarioRunResult
 };
 
 /**
- * Run @p s end to end exactly as uqsim_run does — build the
- * WorldHandle, apply lambda/frequency/slow-server/resilience knobs,
- * arm faults, wire placement, drive the load window — and return the
- * aggregate result. This is the headless driver uqsim_sweep maps over
- * a corpus; uqsim_run keeps its own copy of the sequence because it
- * also renders per-shard report sections.
+ * Run @p s end to end: deployScenario(), then runWorld() over
+ * loadSpecFor(). This is the headless driver uqsim_sweep maps over a
+ * corpus; uqsim_run deploys the same way, so their digests agree.
  */
 ScenarioRunResult runScenario(const Scenario &s);
 

@@ -1,7 +1,9 @@
 #include "fault/fault.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "core/json.hh"
@@ -83,26 +85,45 @@ FaultSpec::describe() const
 }
 
 bool
+parseNumber(const std::string &text, double &out)
+{
+    try {
+        std::size_t used = 0;
+        const double v = std::stod(text, &used);
+        if (used != text.size() || !std::isfinite(v))
+            return false;
+        out = v;
+        return true;
+    } catch (...) {
+        return false;
+    }
+}
+
+bool
+parseCount(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    try {
+        out = std::stoull(text);
+        return true;
+    } catch (...) {
+        return false; // more than 64 bits
+    }
+}
+
+bool
 parseDuration(const std::string &text, Tick &out)
 {
-    if (text.empty())
-        return false;
     std::size_t i = 0;
     while (i < text.size() &&
            (std::isdigit(static_cast<unsigned char>(text[i])) ||
             text[i] == '.'))
         ++i;
-    if (i == 0)
-        return false;
     double value = 0.0;
-    try {
-        std::size_t consumed = 0;
-        value = std::stod(text.substr(0, i), &consumed);
-        if (consumed != i)
-            return false;
-    } catch (...) {
+    if (i == 0 || !parseNumber(text.substr(0, i), value))
         return false;
-    }
     const std::string unit = text.substr(i);
     double scale;
     if (unit.empty() || unit == "ms")
@@ -115,7 +136,8 @@ parseDuration(const std::string &text, Tick &out)
         scale = static_cast<double>(kTicksPerSec);
     else
         return false;
-    if (value < 0.0)
+    // 0x1p64 is the first double past the largest Tick.
+    if (value < 0.0 || value * scale >= 0x1p64)
         return false;
     out = static_cast<Tick>(value * scale);
     return true;
@@ -126,35 +148,11 @@ namespace {
 bool
 parseUnsigned(const std::string &text, unsigned &out)
 {
-    if (text.empty())
+    std::uint64_t v = 0;
+    if (!parseCount(text, v) || v > std::numeric_limits<unsigned>::max())
         return false;
-    try {
-        std::size_t consumed = 0;
-        const unsigned long v = std::stoul(text, &consumed);
-        if (consumed != text.size())
-            return false;
-        out = static_cast<unsigned>(v);
-        return true;
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseDouble(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    try {
-        std::size_t consumed = 0;
-        const double v = std::stod(text, &consumed);
-        if (consumed != text.size())
-            return false;
-        out = v;
-        return true;
-    } catch (...) {
-        return false;
-    }
+    out = static_cast<unsigned>(v);
+    return true;
 }
 
 bool
@@ -232,7 +230,7 @@ applyKey(FaultSpec &spec, const std::string &key, const std::string &value,
             return false;
         }
     } else if (key == "rate") {
-        if (!parseDouble(value, spec.rate) || spec.rate < 0.0 ||
+        if (!parseNumber(value, spec.rate) || spec.rate < 0.0 ||
             spec.rate > 1.0) {
             error = strCat("bad rate '", value, "' (want [0,1])");
             return false;
@@ -243,7 +241,7 @@ applyKey(FaultSpec &spec, const std::string &key, const std::string &value,
             return false;
         }
     } else if (key == "factor") {
-        if (!parseDouble(value, spec.factor) || spec.factor < 1.0) {
+        if (!parseNumber(value, spec.factor) || spec.factor < 1.0) {
             error = strCat("bad factor '", value, "' (want >= 1)");
             return false;
         }
@@ -258,7 +256,7 @@ applyKey(FaultSpec &spec, const std::string &key, const std::string &value,
             return false;
         }
     } else if (key == "loss") {
-        if (!parseDouble(value, spec.loss) || spec.loss < 0.0 ||
+        if (!parseNumber(value, spec.loss) || spec.loss < 0.0 ||
             spec.loss > 1.0) {
             error = strCat("bad loss '", value, "' (want [0,1])");
             return false;
@@ -355,9 +353,21 @@ specFromJsonObject(const json::Value &obj, FaultSpec &out,
 } // namespace
 
 bool
-faultFromJson(const json::Value &obj, FaultSpec &out, std::string &error)
+faultsFromJson(const json::Value &list, std::vector<FaultSpec> &out,
+               std::string &error)
 {
-    return specFromJsonObject(obj, out, error);
+    if (!list.isArray()) {
+        error = "fault schedule must be a JSON array";
+        return false;
+    }
+    std::vector<FaultSpec> specs(list.array.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        if (!specFromJsonObject(list.array[i], specs[i], error)) {
+            error = strCat("fault #", i, ": ", error);
+            return false;
+        }
+    out = std::move(specs);
+    return true;
 }
 
 bool
@@ -403,29 +413,12 @@ parseFaultFile(const std::string &json_text, std::vector<FaultSpec> &out,
     json::Value root;
     if (!json::parse(json_text, root, error))
         return false;
-    const json::Value *list = &root;
-    if (root.isObject()) {
-        list = root.find("faults");
-        if (!list) {
-            error = "fault file object has no \"faults\" array";
-            return false;
-        }
-    }
-    if (!list->isArray()) {
-        error = "fault schedule must be a JSON array";
+    const json::Value *list = root.isObject() ? root.find("faults") : &root;
+    if (list == nullptr) {
+        error = "fault file object has no \"faults\" array";
         return false;
     }
-    std::vector<FaultSpec> specs;
-    for (std::size_t i = 0; i < list->array.size(); ++i) {
-        FaultSpec spec;
-        if (!specFromJsonObject(list->array[i], spec, error)) {
-            error = strCat("fault #", i, ": ", error);
-            return false;
-        }
-        specs.push_back(std::move(spec));
-    }
-    out = std::move(specs);
-    return true;
+    return faultsFromJson(*list, out, error);
 }
 
 } // namespace uqsim::fault

@@ -132,6 +132,16 @@ struct FaultSpec
 bool parseDuration(const std::string &text, Tick &out);
 
 /**
+ * The whole of @p text as a finite double: "nan", "inf" and trailing
+ * junk are rejected. Every config surface (fault specs, scenario flags
+ * and files) parses numbers here. @p out is untouched on failure.
+ */
+bool parseNumber(const std::string &text, double &out);
+
+/** The whole of @p text as a 64-bit count: digits only, no sign. */
+bool parseCount(const std::string &text, std::uint64_t &out);
+
+/**
  * Parse one `--fault` flag value:
  *   kind@key=value,key=value,...
  * e.g. `crash@t=2s,dur=1s,service=backend,instance=0`
@@ -157,12 +167,12 @@ bool parseFaultFile(const std::string &json_text,
                     std::vector<FaultSpec> &out, std::string &error);
 
 /**
- * Build one FaultSpec from an already-parsed JSON object (the element
- * shape of parseFaultFile). Shared with the scenario-config surface
+ * Build a fault schedule from an already-parsed JSON array (the shape
+ * of parseFaultFile). Shared with the scenario-config surface
  * (`uqsim_run --config`), which embeds a "faults" array.
  */
-bool faultFromJson(const json::Value &obj, FaultSpec &out,
-                   std::string &error);
+bool faultsFromJson(const json::Value &list, std::vector<FaultSpec> &out,
+                    std::string &error);
 
 } // namespace uqsim::fault
 

@@ -8,6 +8,36 @@
 
 namespace uqsim::service {
 
+/** One of an App's live counters, sharing the App's LiveCounts. */
+using LiveCount = std::shared_ptr<std::atomic<std::int64_t>>;
+
+/** Counts its owner in one of an App's live counters while it exists. */
+class LiveToken
+{
+  public:
+    explicit LiveToken(LiveCount n)
+        : n_(std::move(n))
+    {
+        ++*n_;
+    }
+    LiveToken(const LiveToken &) = delete;
+    LiveToken &operator=(const LiveToken &) = delete;
+    ~LiveToken() { --*n_; }
+
+  private:
+    LiveCount n_;
+};
+
+/** A Request counted in App::liveRequests(). */
+struct CountedRequest : Request
+{
+    explicit CountedRequest(LiveCount n)
+        : live(std::move(n))
+    {
+    }
+    LiveToken live;
+};
+
 /**
  * Per-RPC handler execution context: the request being served at one
  * instance, plus the span under construction. Shared between the stage
@@ -15,6 +45,11 @@ namespace uqsim::service {
  */
 struct HandlerCtx
 {
+    explicit HandlerCtx(LiveCount n)
+        : live(std::move(n))
+    {
+    }
+    LiveToken live;
     Instance *inst = nullptr;
     RequestPtr req;
     trace::Span span;
@@ -1181,7 +1216,8 @@ App::serveRemote(const RemoteCall &call,
     // Shard-local twin of the caller's request: identity copied,
     // accounting zeroed — this shard accumulates its own delta and the
     // caller merges it, so nothing is double counted.
-    auto rreq = std::make_shared<Request>();
+    RequestPtr rreq = std::make_shared<CountedRequest>(
+        LiveCount(live_, &live_->requests));
     rreq->id = call.requestId;
     rreq->queryType = call.queryType;
     rreq->userId = call.userId;
@@ -1448,7 +1484,8 @@ App::maybeStartHandling(Instance &inst)
             admServed_[static_cast<std::size_t>(cls)]->inc();
         --inst.freeThreads_;
 
-        auto ctx = std::make_shared<HandlerCtx>();
+        auto ctx =
+            std::make_shared<HandlerCtx>(LiveCount(live_, &live_->contexts));
         ctx->inst = &inst;
         ctx->req = a.req;
         ctx->respond = std::move(a.respondCtx);
@@ -1584,12 +1621,16 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                 });
             }
         } else {
+            // The chain refers to itself weakly; each pending call's
+            // continuation holds it strongly, so it dies with the last
+            // one instead of leaking the context tree through a cycle.
             auto do_call =
                 std::make_shared<std::function<void(unsigned)>>();
             auto next_shared =
                 std::make_shared<std::function<void()>>(std::move(next));
             const Stage *stage = &st;
-            *do_call = [this, ctx, stage, target, server_id, do_call,
+            *do_call = [this, ctx, stage, target, server_id,
+                        self = std::weak_ptr(do_call),
                         next_shared](unsigned i) {
                 if (i >= stage->fanout) {
                     (*next_shared)();
@@ -1598,8 +1639,8 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                 rpcCall(server_id, ctx->inst, *target, ctx->req,
                         ctx->span.spanId, stage->requestBytes,
                         stage->responseBytes, stage->carriesMedia,
-                        [ctx, stage, do_call, i](RpcStatus status, Tick wall,
-                                                 Tick caller_net) {
+                        [ctx, stage, do_call = self.lock(),
+                         i](RpcStatus status, Tick wall, Tick caller_net) {
                     ctx->span.networkTime += caller_net;
                     ctx->span.downstreamWait +=
                         wall > caller_net ? wall - caller_net : 0;
@@ -1941,7 +1982,8 @@ App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
     if (query_type >= queryTypes_.size())
         fatal(strCat("unknown query type ", query_type));
 
-    auto req = std::make_shared<Request>();
+    RequestPtr req = std::make_shared<CountedRequest>(
+        LiveCount(live_, &live_->requests));
     req->id = nextRequestId_++;
     req->queryType = query_type;
     req->userId = user_id;

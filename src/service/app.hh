@@ -17,6 +17,7 @@
 #define UQSIM_SERVICE_APP_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -412,6 +413,14 @@ class App
         return requestsFailed_->value();
     }
 
+    /**
+     * Handler contexts and requests of this App still alive. Once the
+     * engine has run out of events both are zero; anything left over
+     * is held by a reference cycle and leaks.
+     */
+    std::int64_t liveHandlerContexts() const { return live_->contexts; }
+    std::int64_t liveRequests() const { return live_->requests; }
+
     /** Aggregate network-processing work time per completed request. */
     double meanNetworkTimePerRequest() const;
     double meanAppTimePerRequest() const;
@@ -613,6 +622,17 @@ class App
     Histogram e2eLatency_;
     std::vector<std::unique_ptr<Histogram>> e2eByQuery_;
     std::uint64_t nextRequestId_ = 0;
+
+    /**
+     * Live-object counts. Shared, because events still queued when a
+     * world is torn down release their contexts after the App is gone.
+     */
+    struct LiveCounts
+    {
+        std::atomic<std::int64_t> contexts{0};
+        std::atomic<std::int64_t> requests{0};
+    };
+    std::shared_ptr<LiveCounts> live_ = std::make_shared<LiveCounts>();
     /** Request accounting, owned by the metrics registry. */
     Counter *injected_ = nullptr;
     Counter *completed_ = nullptr;

@@ -202,5 +202,21 @@ TEST(IntegrationTest, EveryAppTracesConsistently)
     }
 }
 
+TEST(IntegrationTest, DrainedRunHoldsNoRequestState)
+{
+    // Every handler context and request must die with the last
+    // continuation that refers to it. One held by a reference cycle
+    // (a call chain owning itself) outlives the drain and leaks.
+    World w(cfg());
+    apps::buildSocialNetwork(w);
+    workload::runLoad(*w.app, 100.0, kTicksPerSec / 2, kTicksPerSec,
+                      workload::QueryMix::fromApp(*w.app),
+                      workload::UserPopulation::uniform(100), 17);
+    w.sim.run(); // drain every pending event
+    EXPECT_GT(w.app->completed(), 50u);
+    EXPECT_EQ(w.app->liveHandlerContexts(), 0);
+    EXPECT_EQ(w.app->liveRequests(), 0);
+}
+
 } // namespace
 } // namespace uqsim

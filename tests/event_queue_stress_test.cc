@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -46,6 +47,14 @@ struct StressProfile
     std::vector<Tick> delaySpans;
     std::uint64_t seed;
 };
+
+// Prints a profile as its name, so the test listing (and the CTest names
+// built from it) does not embed the address held in `name`.
+void
+PrintTo(const StressProfile &profile, std::ostream *os)
+{
+    *os << profile.name;
+}
 
 class EventQueueStressTest
     : public ::testing::TestWithParam<StressProfile>

@@ -12,9 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "apps/scenario.hh"
+#include "core/json.hh"
+#include "core/logging.hh"
 
 namespace uqsim {
 namespace {
@@ -370,6 +376,195 @@ TEST(ScenarioTest, RejectsBadPlacement)
         s, error));
     EXPECT_NE(error.find("does not support replication"),
               std::string::npos);
+}
+
+TEST(ScenarioTest, RejectsCountsBeyondTheMemberType)
+{
+    apps::Scenario s;
+    std::string error;
+    // 2^32 + 3 would narrow to 3 servers.
+    EXPECT_FALSE(apps::parseScenarioJson("{\"servers\": 4294967299}", s,
+                                         error));
+    EXPECT_NE(error.find("servers"), std::string::npos) << error;
+    EXPECT_EQ(s.servers, 5u);
+    EXPECT_FALSE(apps::parseScenarioJson(
+        "{\"slo\": {\"window\": 4294967296}}", s, error));
+    EXPECT_FALSE(apps::parseScenarioJson("{\"seed\": -1}", s, error));
+    EXPECT_FALSE(apps::parseScenarioJson("{\"users\": 1e30}", s, error));
+    // The largest value of each type still fits.
+    ASSERT_TRUE(apps::parseScenarioJson("{\"servers\": 4294967295}", s,
+                                        error))
+        << error;
+    EXPECT_EQ(s.servers, 4294967295u);
+}
+
+/** Every scalar of @p v keyed by its dotted path ("data.keys"). */
+void
+flatten(const json::Value &v, const std::string &path,
+        std::map<std::string, std::string> &out)
+{
+    const std::string prefix = path.empty() ? "" : path + ".";
+    if (v.isObject()) {
+        for (const auto &[key, member] : v.object)
+            flatten(member, prefix + key, out);
+    } else if (v.isArray()) {
+        for (std::size_t i = 0; i < v.array.size(); ++i)
+            flatten(v.array[i], strCat(prefix, i), out);
+    } else if (v.isBool()) {
+        out[path] = v.boolean ? "true" : "false";
+    } else {
+        ASSERT_TRUE(json::scalarToString(v, out[path])) << path;
+    }
+}
+
+std::map<std::string, std::string>
+flatDump(const apps::Scenario &s)
+{
+    json::Value root;
+    std::string error;
+    EXPECT_TRUE(json::parse(apps::scenarioToJson(s), root, error)) << error;
+    std::map<std::string, std::string> out;
+    flatten(root, "", out);
+    return out;
+}
+
+/** A valid value for @p f's flag that differs from the one in @p s. */
+std::string
+otherValue(const apps::ScenarioField &f, const apps::Scenario &s)
+{
+    using Sc = apps::Scenario;
+    static const std::map<std::string, std::string> kIrregular = {
+        {"--qos-weights", "16,4,2"},
+        {"--pin", "posts-db=1"},
+        {"--fault", "errors@t=1s,dur=1s,service=nginx-lb,rate=0.5"},
+        {"--generate", "media"},
+    };
+    if (auto it = kIrregular.find(f.flag); it != kIrregular.end())
+        return it->second;
+    if (std::holds_alternative<bool Sc::*>(f.slot))
+        return "";
+    if (const auto *d = std::get_if<apps::ScenarioField::Duration>(&f.slot))
+        return strCat(s.*d->member + kTicksPerMs, "ns");
+    if (const auto *t = std::get_if<std::string Sc::*>(&f.slot)) {
+        std::istringstream names(f.names ? f.names : "");
+        for (std::string n; std::getline(names, n, '|');)
+            if (!n.empty() && n != s.**t)
+                return n;
+        return "x";
+    }
+    // Numbers and counts: one up, else half, whichever is in range.
+    const double cur = std::stod(flatDump(s).at(f.key));
+    return strCat(f.range.contains(cur + 1) ? cur + 1 : cur / 2);
+}
+
+TEST(ScenarioTest, EveryFieldRoundTripsFromItsFlag)
+{
+    // Every row, set through its flag to a value other than the one it
+    // has, must change exactly its own key in the dump (plus the
+    // enable switch its flag family implies), and the dump must parse
+    // back to a byte-identical document.
+    unsigned walked = 0;
+    for (const apps::ScenarioField &f : apps::scenarioFields()) {
+        if (f.key == nullptr || f.flag == nullptr)
+            continue;
+        const std::string key = f.key, flag = f.flag;
+        apps::Scenario base; // the row's prerequisites, else defaults
+        if (key.starts_with("replication.")) {
+            base.dataKeys = 1000;
+            base.replicaFactor = 3;
+            base.txnKeys = 2;
+        } else if (key.starts_with("generate.")) {
+            base.genProfile = "social-network";
+        } else if (key == "placement.pin") {
+            base.placement = "partition";
+            base.shards = 2;
+        }
+        apps::Scenario s = base;
+        std::string error;
+        ASSERT_TRUE(apps::applyScenarioFlag(f, otherValue(f, base), s,
+                                            error))
+            << flag << ": " << error;
+        ASSERT_TRUE(apps::validateScenario(s, error))
+            << flag << ": " << error;
+
+        std::map<std::string, std::string> before = flatDump(base);
+        bool own_key_changed = false;
+        for (const auto &[path, value] : flatDump(s)) {
+            if (before[path] == value)
+                continue;
+            const bool own = path == key || path.starts_with(key + ".");
+            own_key_changed = own_key_changed || own;
+            const bool implied =
+                (path == "qos.enabled" && flag.starts_with("--qos-")) ||
+                (path == "slo.enabled" &&
+                 (flag.starts_with("--slo-") ||
+                  flag.starts_with("--timeseries-")));
+            EXPECT_TRUE(own || implied) << flag << " changed " << path;
+        }
+        EXPECT_TRUE(own_key_changed) << flag << " left " << key << " as is";
+
+        const std::string dump = apps::scenarioToJson(s);
+        apps::Scenario parsed;
+        ASSERT_TRUE(apps::parseScenarioJson(dump, parsed, error))
+            << flag << ": " << error;
+        EXPECT_EQ(apps::scenarioToJson(parsed), dump) << flag;
+        ++walked;
+    }
+    EXPECT_GE(walked, 75u);
+}
+
+TEST(ScenarioTest, FaultFileFlagAppendsToFaults)
+{
+    const std::string path = testing::TempDir() + "scenario_faults.json";
+    std::ofstream(path) << "[{\"kind\": \"errors\", \"t\": \"1s\", "
+                           "\"dur\": \"1s\", \"service\": \"nginx-lb\", "
+                           "\"rate\": 0.5}]";
+    apps::Scenario s;
+    std::string error;
+    ASSERT_TRUE(apps::applyScenarioFlag(
+        *apps::findScenarioFlag("--faults"), path, s, error))
+        << error;
+    std::remove(path.c_str());
+    ASSERT_EQ(s.faults.size(), 1u);
+    EXPECT_EQ(flatDump(s).at("faults.0.service"), "nginx-lb");
+    EXPECT_FALSE(apps::applyScenarioFlag(
+        *apps::findScenarioFlag("--faults"), path, s, error));
+}
+
+TEST(ScenarioTest, NonFiniteAndWrappedFlagValuesAreRejected)
+{
+    apps::Scenario s;
+    std::string error;
+    const apps::ScenarioField &qps = *apps::findScenarioFlag("--qps");
+    for (const char *bad : {"nan", "inf", "-inf", "1e999", "3o0"})
+        EXPECT_FALSE(apps::applyScenarioFlag(qps, bad, s, error)) << bad;
+    EXPECT_FALSE(apps::applyScenarioFlag(
+        *apps::findScenarioFlag("--servers"), "4294967298", s, error));
+    EXPECT_EQ(s.servers, 5u);
+    EXPECT_DOUBLE_EQ(s.qps, 300.0);
+}
+
+TEST(ScenarioTest, EnumValuesMatchExactlyOneName)
+{
+    apps::Scenario s;
+    std::string error;
+    s.dataPolicy = "lru|lfu";
+    EXPECT_FALSE(apps::validateScenario(s, error));
+    EXPECT_NE(error.find("data.policy (--cache-policy)"), std::string::npos)
+        << error;
+    s.dataPolicy = "";
+    EXPECT_FALSE(apps::validateScenario(s, error));
+    s.dataPolicy = "slru";
+    s.lambda = ""; // an unset lambda is the "off" value
+    EXPECT_TRUE(apps::validateScenario(s, error)) << error;
+}
+
+TEST(ScenarioTest, DefaultScenarioReproducesThePinnedDigest)
+{
+    // The shared deploy path behind uqsim_run and uqsim_sweep: the
+    // default scenario is `uqsim_run --app social-network`.
+    EXPECT_EQ(apps::runScenario(apps::Scenario{}).digest,
+              0x3e4c3130724e0248ull);
 }
 
 TEST(ScenarioTest, CoreModelNames)

@@ -22,14 +22,11 @@
  * --dump-config prints the effective scenario and exits.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,7 +34,6 @@
 #include "apps/scenario.hh"
 #include "core/logging.hh"
 #include "data/cache_model.hh"
-#include "data/keyspace.hh"
 #include "core/table.hh"
 #include "cpu/power.hh"
 #include "fault/fault.hh"
@@ -61,7 +57,7 @@ struct Options
     apps::Scenario scn;
 
     // -- output-only options (not part of the scenario) -------------
-    std::string report = "summary"; // see kReportKinds
+    std::string report = "summary"; // one of kReportKinds
     std::string traceOut;           // Perfetto JSON file ("" = none)
     std::string metricsOut;         // metrics snapshot JSON ("" = none)
     std::string timeseriesOut;      // interval series ("" = none)
@@ -72,157 +68,35 @@ struct Options
     bool appFlag = false;
 };
 
-const char *const kReportKinds[] = {
-    "summary", "services", "traces", "cost",        "energy",
-    "resilience", "data",  "qos",    "replication", "slo"};
+const std::string kReportKinds = "summary | services | traces | cost | "
+                                 "energy | resilience | data | qos | "
+                                 "replication | slo";
 
 void
 usage()
 {
-    std::cout <<
-        "uqsim_run - drive a DeathStarBench model from the CLI\n\n"
-        "  --app NAME         social-network | media | ecommerce | banking |\n"
-        "                     swarm-cloud | swarm-edge | social-monolith |\n"
-        "                     nginx | memcached | mongodb | xapian | recommender\n"
-        "  --generate PROFILE sample a microservice topology from a\n"
-        "                     profile instead of building --app (see\n"
-        "                     --list-gen-profiles; conflicts with --app)\n"
-        "  --gen-seed N       topology sampling seed (default 1)\n"
-        "  --gen-depth N      pin the logic levels (0 = profile draw)\n"
-        "  --gen-width N      pin tiers per level (0 = profile draw)\n"
-        "  --gen-fanout X     override mean call fan-out (0 = profile)\n"
-        "  --arrival KIND     arrival process: poisson | mmpp | diurnal\n"
-        "                     | flash (default poisson, the legacy\n"
-        "                     byte-identical sampler)\n"
-        "  --arrival-burst X  mmpp peak/base rate ratio (default 4)\n"
-        "  --arrival-duty F   mmpp peak-state time fraction, in (0, 1)\n"
-        "                     (default 0.1)\n"
-        "  --arrival-dwell DUR  mmpp mean peak sojourn (default 200ms)\n"
-        "  --arrival-period DUR diurnal day length (default 10s)\n"
-        "  --arrival-low F    diurnal trough rate fraction (default 0.2)\n"
-        "  --arrival-flash-at DUR    flash-crowd onset (default 2s)\n"
-        "  --arrival-flash-ramp DUR  flash ramp-up / decay constant\n"
-        "                     (default 200ms)\n"
-        "  --arrival-flash-mult X    flash peak rate multiplier\n"
-        "                     (default 8)\n"
-        "  --arrival-flash-hold DUR  flash plateau length (default 1s)\n"
-        "  --qps N            offered load (default 300)\n"
-        "  --duration SEC     measured window (default 10)\n"
-        "  --warmup SEC       warmup window (default 2)\n"
-        "  --servers N        worker servers per shard (default 5)\n"
-        "  --drones N         swarm size (default 24)\n"
-        "  --core MODEL       xeon | xeon18 | thunderx (default xeon)\n"
-        "  --freq MHZ         RAPL frequency cap for all servers\n"
-        "  --fpga             enable the TCP offload\n"
-        "  --lambda KIND      serverless execution: s3 | mem\n"
-        "  --slow-servers N   inject N slow servers\n"
-        "  --slow-factor X    slowdown multiplier (default 40)\n"
-        "  --skew PCT         user skew 0-99 (default: uniform)\n"
-        "  --users N          user population (default 1000)\n"
-        "  --seed N           world seed (default 42)\n"
-        "  --shards N         replica shards, each its own event queue\n"
-        "                     (default 1; load splits evenly)\n"
-        "  --threads N        worker threads driving the shards\n"
-        "                     (default 1; never changes results)\n"
-        "  --placement MODE   none | replicate | partition: how --shards\n"
-        "                     deploys the world (default none; replicate\n"
-        "                     is the same replica-worlds layout spelled\n"
-        "                     explicitly; partition splits ONE world\n"
-        "                     with each tier pinned to a home shard)\n"
-        "  --pin TIER=SHARD   partition: pin a tier to a home shard\n"
-        "                     (repeatable; unpinned tiers round-robin,\n"
-        "                     the entry tier defaults to shard 0)\n"
-        "  --config FILE      load a scenario JSON (flags after it\n"
-        "                     override; see --dump-config)\n"
-        "  --dump-config      print the effective scenario JSON, exit\n"
-        "  --report KIND      summary | services | traces | cost | energy |\n"
-        "                     resilience | data | qos | replication | slo\n"
-        "  --cache-keys N     keyed data tier: keys per app (0 = legacy\n"
-        "                     fixed-hit-probability caches, the default)\n"
-        "  --cache-capacity N entries per cache instance (default 4096)\n"
-        "  --cache-policy P   lru | lfu | slru (default lru)\n"
-        "  --cache-popularity P  zipf | uniform | hotspot (default zipf)\n"
-        "  --cache-zipf S     Zipf skew exponent (default 1.0)\n"
-        "  --cache-hot-fraction F  hotspot: hot key fraction (default 0.1)\n"
-        "  --cache-hot-mass M hotspot: mass on hot keys (default 0.9)\n"
-        "  --cache-ttl DUR    entry time-to-live (0 = no expiry)\n"
-        "  --cache-write P    through | invalidate (default through)\n"
-        "  --cache-shift DUR  hotspot rotation period (0 = static)\n"
-        "  --cache-vnodes N   consistent-hash vnodes per shard (default 64)\n"
-        "  --replica-factor N replicate each keyed cache shard across N\n"
-        "                     instances (leader + N-1 followers; needs\n"
-        "                     --cache-keys; 0 = unreplicated, the default)\n"
-        "  --replica-quorum W write quorum: acks a write needs before the\n"
-        "                     handler unblocks (0 = majority of factor)\n"
-        "  --replica-apply-lag DUR  follower apply lag per ring hop\n"
-        "                     (default 1ms)\n"
-        "  --replica-election-timeout DUR  leaderless window before a\n"
-        "                     follower is promoted (default 50ms)\n"
-        "  --replica-catch-up DUR  log replay a restarted replica needs\n"
-        "                     before it is quorum-eligible (default 100ms)\n"
-        "  --replica-read P   leader | nearest | ryw (read-your-writes;\n"
-        "                     default leader)\n"
-        "  --txn-keys N       2PC: write-tagged keyed stages touch N keys\n"
-        "                     as one multi-partition transaction (0 = off,\n"
-        "                     needs --replica-factor)\n"
-        "  --txn-prepare-timeout DUR  coordinator deadline on the 2PC\n"
-        "                     prepare phase (default 10ms)\n"
-        "  --faults FILE      JSON fault schedule (see docs/RESILIENCE.md)\n"
-        "  --fault SPEC       one fault window, repeatable:\n"
-        "                     crash@t=2s,dur=1s,service=X,instance=0\n"
-        "                     crash@t=2s,dur=1s,service=X,group=0,\n"
-        "                       role=leader   (replicated tiers)\n"
-        "                     errors@t=1s,dur=2s,service=X,rate=0.5\n"
-        "                     slow@t=1s,dur=2s,server=0,factor=10\n"
-        "                     partition@t=3s,dur=1s,a=0-1,b=2-4,loss=1\n"
-        "  --qos              server-side admission control: bounded\n"
-        "                     per-class queues with weighted dequeue\n"
-        "                     (any --qos-* flag implies it)\n"
-        "  --qos-weights U,B,E  WRR credits for user-facing, batch,\n"
-        "                     best-effort (default 8,2,1)\n"
-        "  --qos-queue N      per-class queue bound (0 = tier capacity)\n"
-        "  --qos-rate R       token bucket: admitted req/s per instance\n"
-        "                     (default 0 = unlimited)\n"
-        "  --qos-burst N      token bucket burst (default 32)\n"
-        "  --qos-shed-batch F shed batch above this backlog fraction\n"
-        "                     (default 0.5)\n"
-        "  --qos-shed-best F  shed best-effort above this fraction\n"
-        "                     (default 0.25)\n"
-        "  --qos-batch LIST   comma-separated query types in the batch\n"
-        "                     class\n"
-        "  --qos-best-effort LIST  query types in the best-effort class\n"
-        "  --rpc-timeout DUR  per-attempt RPC timeout (e.g. 50ms; 0 = off)\n"
-        "  --deadline DUR     end-to-end request deadline (0 = off)\n"
-        "  --retries N        RPC retries after a failed attempt\n"
-        "  --retry-budget R   retry tokens earned per request (0 = unlimited)\n"
-        "  --breaker          per-edge circuit breaker (default thresholds)\n"
-        "  --shed N           shed arrivals above queue length N\n"
-        "  --slo-latency DUR  SLO: latency bound at --slo-quantile on\n"
-        "                     the target series (any --slo-* or\n"
-        "                     --timeseries-* flag enables telemetry\n"
-        "                     sampling)\n"
-        "  --slo-quantile Q   quantile the latency bound applies to,\n"
-        "                     in (0, 1) (default 0.99)\n"
-        "  --slo-window N     consecutive bad intervals before a\n"
-        "                     violation trips (default 3)\n"
-        "  --slo-error-rate R SLO: error-rate bound in [0, 1]\n"
-        "  --slo-tier NAME    series under the SLO (default: the\n"
-        "                     end-to-end stream)\n"
-        "  --timeseries-interval DUR  telemetry sampling interval\n"
-        "                     (default 100ms)\n"
-        "  --timeseries-ring N  ring bound per series (default 4096)\n"
-        "  --timeseries-out FILE  write the interval series (.csv gets\n"
-        "                     CSV, anything else JSON)\n"
-        "  --trace-out FILE   write collected spans as Chrome/Perfetto\n"
-        "                     trace-event JSON (open in ui.perfetto.dev);\n"
-        "                     with telemetry enabled, per-tier counter\n"
-        "                     tracks ride along\n"
-        "  --metrics-out FILE write the metrics-registry snapshot as JSON\n"
-        "  --trace-capacity N span ring-buffer capacity (default "
-            + std::to_string(trace::TraceStore::kDefaultCapacity) + ")\n"
-        "  --list, --list-apps  list applications and exit\n"
-        "  --list-gen-profiles  list topology-sampling profiles, exit\n"
-        "\nOptions taking a value also accept --opt=value.\n";
+    std::cout << "uqsim_run - drive a DeathStarBench model from the CLI\n\n"
+              << apps::scenarioFlagHelp();
+    const std::pair<const char *, std::string> output_flags[] = {
+        {"--config FILE", "load a scenario JSON (flags after it override; "
+                          "see --dump-config)"},
+        {"--dump-config", "print the effective scenario JSON, exit"},
+        {"--report KIND", kReportKinds},
+        {"--trace-out FILE",
+         "write collected spans as Chrome/Perfetto trace-event JSON (open "
+         "in ui.perfetto.dev); with telemetry on, per-tier counter "
+         "tracks ride along"},
+        {"--metrics-out FILE", "write the metrics-registry snapshot as JSON"},
+        {"--timeseries-out FILE",
+         "write the interval series (.csv gets CSV, anything else JSON)"},
+        {"--list, --list-apps", "list applications and exit"},
+        {"--list-gen-profiles", "list topology-sampling profiles, exit"},
+    };
+    for (const auto &[flag, text] : output_flags)
+        std::cout << apps::helpEntry(flag, text);
+    std::cout << "\nAny --qos-* flag implies --qos; any --slo-* or "
+                 "--timeseries-* flag\nenables telemetry sampling. Options "
+                 "taking a value also accept --opt=value.\n";
 }
 
 bool
@@ -247,138 +121,16 @@ parse(int argc, char **argv, Options &opt)
             fatal(strCat("missing value for ", args[i]));
         return args[++i];
     };
-    // Strict numeric parsing: the whole value must convert, so typos
-    // like "--qps 3o0" die with a clear message instead of silently
-    // truncating to garbage the way atof/atoi would.
-    auto numDouble = [&](std::size_t &i) {
-        const std::string &flag = args[i], &v = need(i);
-        try {
-            std::size_t consumed = 0;
-            const double value = std::stod(v, &consumed);
-            if (consumed != v.size())
-                throw std::invalid_argument(v);
-            return value;
-        } catch (...) {
-            fatal(strCat("bad number '", v, "' for ", flag));
-        }
-    };
-    auto numU64 = [&](std::size_t &i) {
-        const std::string &flag = args[i], &v = need(i);
-        try {
-            std::size_t consumed = 0;
-            const unsigned long long value = std::stoull(v, &consumed);
-            if (consumed != v.size() || v[0] == '-')
-                throw std::invalid_argument(v);
-            return static_cast<std::uint64_t>(value);
-        } catch (...) {
-            fatal(strCat("bad non-negative integer '", v, "' for ",
-                         flag));
-        }
-    };
-    auto numUnsigned = [&](std::size_t &i) {
-        return static_cast<unsigned>(numU64(i));
-    };
-    auto durationVal = [&](std::size_t &i) {
-        const std::string &flag = args[i], &v = need(i);
-        Tick out = 0;
-        if (!fault::parseDuration(v, out))
-            fatal(strCat("bad duration '", v, "' for ", flag,
-                         " (want e.g. 50ms, 2s, 800us)"));
-        return out;
-    };
     apps::Scenario &scn = opt.scn;
+    std::string error;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
-        if (a == "--app") {
-            scn.app = need(i);
-            opt.appFlag = true;
-        } else if (a == "--generate")
-            scn.genProfile = need(i);
-        else if (a == "--gen-seed")
-            scn.genSeed = numU64(i);
-        else if (a == "--gen-depth")
-            scn.genDepth = numUnsigned(i);
-        else if (a == "--gen-width")
-            scn.genWidth = numUnsigned(i);
-        else if (a == "--gen-fanout")
-            scn.genFanout = numDouble(i);
-        else if (a == "--arrival")
-            scn.arrival = need(i);
-        else if (a == "--arrival-burst")
-            scn.arrivalBurst = numDouble(i);
-        else if (a == "--arrival-duty")
-            scn.arrivalDuty = numDouble(i);
-        else if (a == "--arrival-dwell")
-            scn.arrivalDwell = durationVal(i);
-        else if (a == "--arrival-period")
-            scn.arrivalPeriod = durationVal(i);
-        else if (a == "--arrival-low")
-            scn.arrivalLow = numDouble(i);
-        else if (a == "--arrival-flash-at")
-            scn.arrivalFlashAt = durationVal(i);
-        else if (a == "--arrival-flash-ramp")
-            scn.arrivalFlashRamp = durationVal(i);
-        else if (a == "--arrival-flash-mult")
-            scn.arrivalFlashMult = numDouble(i);
-        else if (a == "--arrival-flash-hold")
-            scn.arrivalFlashHold = durationVal(i);
-        else if (a == "--qps")
-            scn.qps = numDouble(i);
-        else if (a == "--duration")
-            scn.durationSec = numDouble(i);
-        else if (a == "--warmup")
-            scn.warmupSec = numDouble(i);
-        else if (a == "--servers")
-            scn.servers = numUnsigned(i);
-        else if (a == "--drones")
-            scn.drones = numUnsigned(i);
-        else if (a == "--core")
-            scn.core = need(i);
-        else if (a == "--freq")
-            scn.freqMhz = numDouble(i);
-        else if (a == "--fpga")
-            scn.fpga = true;
-        else if (a == "--lambda")
-            scn.lambda = need(i);
-        else if (a == "--slow-servers")
-            scn.slowServers = numUnsigned(i);
-        else if (a == "--slow-factor")
-            scn.slowFactor = numDouble(i);
-        else if (a == "--skew")
-            scn.skew = numDouble(i);
-        else if (a == "--users")
-            scn.users = numU64(i);
-        else if (a == "--seed")
-            scn.seed = numU64(i);
-        else if (a == "--shards")
-            scn.shards = numUnsigned(i);
-        else if (a == "--threads")
-            scn.threads = numUnsigned(i);
-        else if (a == "--placement")
-            scn.placement = need(i);
-        else if (a == "--pin") {
-            const std::string &flag = args[i], &v = need(i);
-            const std::size_t eq = v.find('=');
-            data::PlacementPin pin;
-            bool ok = eq != std::string::npos && eq > 0;
-            if (ok) {
-                pin.tier = v.substr(0, eq);
-                const std::string num = v.substr(eq + 1);
-                try {
-                    std::size_t consumed = 0;
-                    const unsigned long shard =
-                        std::stoul(num, &consumed);
-                    ok = !num.empty() && consumed == num.size() &&
-                         num[0] != '-';
-                    pin.shard = static_cast<unsigned>(shard);
-                } catch (...) {
-                    ok = false;
-                }
-            }
-            if (!ok)
-                fatal(strCat("bad pin '", v, "' for ", flag,
-                             " (want TIER=SHARD, e.g. user-db=1)"));
-            scn.pins.push_back(std::move(pin));
+        if (const apps::ScenarioField *f = apps::findScenarioFlag(a)) {
+            opt.appFlag = opt.appFlag || a == "--app";
+            if (!apps::applyScenarioFlag(
+                    *f, f->takesValue() ? need(i) : std::string(), scn,
+                    error))
+                fatal(error);
         } else if (a == "--config") {
             // Processed in flag order: flags before act as defaults
             // the file overrides, flags after override the file.
@@ -388,7 +140,6 @@ parse(int argc, char **argv, Options &opt)
                 fatal(strCat("cannot read scenario '", path, "'"));
             std::ostringstream text;
             text << in.rdbuf();
-            std::string error;
             if (!apps::parseScenarioJson(text.str(), scn, error))
                 fatal(strCat("bad scenario '", path, "': ", error));
         } else if (a == "--dump-config")
@@ -399,137 +150,10 @@ parse(int argc, char **argv, Options &opt)
             opt.traceOut = need(i);
         else if (a == "--metrics-out")
             opt.metricsOut = need(i);
-        else if (a == "--trace-capacity")
-            scn.traceCapacity = static_cast<std::size_t>(numU64(i));
-        else if (a == "--faults") {
-            const std::string &path = need(i);
-            std::ifstream in(path);
-            if (!in)
-                fatal(strCat("cannot read fault schedule '", path, "'"));
-            std::ostringstream text;
-            text << in.rdbuf();
-            std::vector<fault::FaultSpec> specs;
-            std::string error;
-            if (!fault::parseFaultFile(text.str(), specs, error))
-                fatal(strCat("bad fault schedule '", path, "': ", error));
-            scn.faults.insert(scn.faults.end(), specs.begin(),
-                              specs.end());
-        } else if (a == "--fault") {
-            const std::string &spec_text = need(i);
-            fault::FaultSpec spec;
-            std::string error;
-            if (!fault::parseFaultFlag(spec_text, spec, error))
-                fatal(strCat("bad --fault '", spec_text, "': ", error));
-            scn.faults.push_back(std::move(spec));
-        } else if (a == "--cache-keys")
-            scn.dataKeys = numU64(i);
-        else if (a == "--cache-capacity")
-            scn.dataCapacity = numU64(i);
-        else if (a == "--cache-policy")
-            scn.dataPolicy = need(i);
-        else if (a == "--cache-popularity")
-            scn.dataPopularity = need(i);
-        else if (a == "--cache-zipf")
-            scn.dataZipfS = numDouble(i);
-        else if (a == "--cache-hot-fraction")
-            scn.dataHotFraction = numDouble(i);
-        else if (a == "--cache-hot-mass")
-            scn.dataHotMass = numDouble(i);
-        else if (a == "--cache-ttl")
-            scn.dataTtl = durationVal(i);
-        else if (a == "--cache-write")
-            scn.dataWrite = need(i);
-        else if (a == "--cache-shift")
-            scn.dataShiftPeriod = durationVal(i);
-        else if (a == "--cache-vnodes")
-            scn.dataVnodes = numUnsigned(i);
-        else if (a == "--replica-factor")
-            scn.replicaFactor = numUnsigned(i);
-        else if (a == "--replica-quorum")
-            scn.replicaQuorum = numUnsigned(i);
-        else if (a == "--replica-apply-lag")
-            scn.replicaApplyLag = durationVal(i);
-        else if (a == "--replica-election-timeout")
-            scn.replicaElectionTimeout = durationVal(i);
-        else if (a == "--replica-catch-up")
-            scn.replicaCatchUp = durationVal(i);
-        else if (a == "--replica-read")
-            scn.replicaRead = need(i);
-        else if (a == "--txn-keys")
-            scn.txnKeys = numUnsigned(i);
-        else if (a == "--txn-prepare-timeout")
-            scn.txnPrepareTimeout = durationVal(i);
-        else if (a == "--qos")
-            scn.qosEnabled = true;
-        else if (a == "--qos-weights") {
-            const std::string &flag = args[i], &v = need(i);
-            if (!apps::parseQosWeights(v, scn.qosWeightUser,
-                                       scn.qosWeightBatch,
-                                       scn.qosWeightBest))
-                fatal(strCat("bad weights '", v, "' for ", flag,
-                             " (want three positive integers "
-                             "\"user,batch,best\")"));
-            scn.qosEnabled = true;
-        } else if (a == "--qos-queue") {
-            scn.qosQueue = numUnsigned(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-rate") {
-            scn.qosRate = numDouble(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-burst") {
-            scn.qosBurst = numDouble(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-shed-batch") {
-            scn.qosShedBatch = numDouble(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-shed-best") {
-            scn.qosShedBest = numDouble(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-batch") {
-            scn.qosBatch = need(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-best-effort") {
-            scn.qosBestEffort = need(i);
-            scn.qosEnabled = true;
-        } else if (a == "--slo-latency") {
-            scn.sloLatency = durationVal(i);
-            scn.obsEnabled = true;
-        } else if (a == "--slo-quantile") {
-            scn.sloQuantile = numDouble(i);
-            scn.obsEnabled = true;
-        } else if (a == "--slo-window") {
-            scn.sloWindow = numUnsigned(i);
-            scn.obsEnabled = true;
-        } else if (a == "--slo-error-rate") {
-            scn.sloErrorRate = numDouble(i);
-            scn.obsEnabled = true;
-        } else if (a == "--slo-tier") {
-            scn.sloTier = need(i);
-            scn.obsEnabled = true;
-        } else if (a == "--timeseries-interval") {
-            scn.obsInterval = durationVal(i);
-            scn.obsEnabled = true;
-        } else if (a == "--timeseries-ring") {
-            scn.obsRing = numU64(i);
-            scn.obsEnabled = true;
-        } else if (a == "--timeseries-out") {
+        else if (a == "--timeseries-out") {
             opt.timeseriesOut = need(i);
             scn.obsEnabled = true;
-        } else if (a == "--rpc-timeout")
-            scn.rpcTimeout = durationVal(i);
-        else if (a == "--deadline")
-            scn.deadline = durationVal(i);
-        else if (a == "--retries")
-            scn.retries = numUnsigned(i);
-        else if (a == "--retry-budget") {
-            scn.retryBudget = numDouble(i);
-            if (scn.retryBudget < 0.0)
-                fatal("--retry-budget must be >= 0");
-        } else if (a == "--breaker")
-            scn.breaker = true;
-        else if (a == "--shed")
-            scn.shed = numUnsigned(i);
-        else if (a == "--list" || a == "--list-apps")
+        } else if (a == "--list" || a == "--list-apps")
             opt.list = true;
         else if (a == "--list-gen-profiles")
             opt.listGenProfiles = true;
@@ -541,163 +165,15 @@ parse(int argc, char **argv, Options &opt)
         }
     }
 
-    bool report_ok = false;
-    for (const char *kind : kReportKinds)
-        report_ok = report_ok || opt.report == kind;
-    if (!report_ok)
-        fatal(strCat("unknown report kind '", opt.report,
-                     "' (want summary, services, traces, cost, energy, "
-                     "resilience, data, qos, replication or slo)"));
-    if (scn.qps <= 0.0)
-        fatal("--qps must be positive");
-    if (scn.durationSec <= 0.0)
-        fatal("--duration must be positive");
-    if (scn.warmupSec < 0.0)
-        fatal("--warmup must be non-negative");
-    if (scn.servers == 0)
-        fatal("--servers must be positive");
-    if (scn.shards == 0)
-        fatal("--shards must be positive");
-    if (scn.threads == 0)
-        fatal("--threads must be positive");
-    if (scn.placement != "none" && scn.placement != "replicate" &&
-        scn.placement != "partition")
-        fatal(strCat("unknown --placement mode '", scn.placement,
-                     "' (want none, replicate or partition)"));
-    if (!scn.pins.empty() && scn.placement != "partition")
-        fatal("--pin needs --placement partition");
-    if (scn.placement == "partition") {
-        // Same feature matrix the scenario-JSON parser enforces.
-        if (!scn.faults.empty())
-            fatal("--placement partition does not support faults");
-        if (scn.replicaFactor >= 2)
-            fatal("--placement partition does not support replication");
-        if (scn.fpga)
-            fatal("--placement partition does not support --fpga");
-        if (!scn.lambda.empty())
-            fatal("--placement partition does not support --lambda");
-        if (scn.app.rfind("swarm-", 0) == 0)
-            fatal(strCat("--placement partition does not support app '",
-                         scn.app, "'"));
-        for (const data::PlacementPin &pin : scn.pins)
-            if (pin.shard >= scn.shards)
-                fatal(strCat("placement pin '", pin.tier,
-                             "' targets shard ", pin.shard,
-                             " but only ", scn.shards,
-                             " shards exist"));
-        for (std::size_t pi = 0; pi < scn.pins.size(); ++pi)
-            for (std::size_t pj = 0; pj < pi; ++pj)
-                if (scn.pins[pi].tier == scn.pins[pj].tier)
-                    fatal(strCat("duplicate placement pin for tier '",
-                                 scn.pins[pi].tier, "'"));
-    }
-    if (scn.skew >= 100.0)
-        fatal("--skew must be below 100");
-    if (!scn.lambda.empty() && scn.lambda != "s3" && scn.lambda != "mem")
-        fatal(strCat("unknown --lambda kind '", scn.lambda,
-                     "' (want s3 or mem)"));
-    cpu::CoreModel core_check;
-    if (!apps::coreModelByName(scn.core, core_check))
-        fatal(strCat("unknown core model '", scn.core, "'"));
-    {
-        // Same rules the scenario-JSON parser enforces; flags must not
-        // be a loophole around them.
-        data::CachePolicy pol;
-        if (!data::cachePolicyByName(scn.dataPolicy, pol))
-            fatal(strCat("unknown --cache-policy '", scn.dataPolicy,
-                         "' (want lru, lfu or slru)"));
-        data::Popularity pop;
-        if (!data::popularityByName(scn.dataPopularity, pop))
-            fatal(strCat("unknown --cache-popularity '",
-                         scn.dataPopularity,
-                         "' (want zipf, uniform or hotspot)"));
-        data::WritePolicy wp;
-        if (!data::writePolicyByName(scn.dataWrite, wp))
-            fatal(strCat("unknown --cache-write '", scn.dataWrite,
-                         "' (want through or invalidate)"));
-        if (scn.dataKeys > 0 && scn.dataCapacity == 0)
-            fatal("--cache-capacity must be positive");
-        if (scn.dataZipfS < 0.0)
-            fatal("--cache-zipf must be non-negative");
-        if (scn.dataHotFraction <= 0.0 || scn.dataHotFraction > 1.0)
-            fatal("--cache-hot-fraction must be in (0, 1]");
-        if (scn.dataHotMass < 0.0 || scn.dataHotMass > 1.0)
-            fatal("--cache-hot-mass must be in [0, 1]");
-        if (scn.dataVnodes == 0)
-            fatal("--cache-vnodes must be positive");
-        replica::ReadPreference rp;
-        if (!replica::readPreferenceByName(scn.replicaRead, rp))
-            fatal(strCat("unknown --replica-read '", scn.replicaRead,
-                         "' (want leader, nearest or ryw)"));
-        if (scn.replicaFactor == 1)
-            fatal("--replica-factor must be 0 (off) or >= 2");
-        if (scn.replicaFactor >= 2 && scn.dataKeys == 0)
-            fatal("--replica-factor needs --cache-keys");
-        if (scn.replicaQuorum > scn.replicaFactor)
-            fatal("--replica-quorum must be <= --replica-factor");
-        if (scn.replicaFactor >= 2 && scn.replicaApplyLag == 0)
-            fatal("--replica-apply-lag must be positive");
-        if (scn.replicaFactor >= 2 && scn.replicaElectionTimeout == 0)
-            fatal("--replica-election-timeout must be positive");
-        if (scn.txnKeys == 1)
-            fatal("--txn-keys must be 0 (off) or >= 2");
-        if (scn.txnKeys >= 2 && scn.replicaFactor < 2)
-            fatal("--txn-keys needs --replica-factor");
-        if (scn.txnKeys >= 2 && scn.txnPrepareTimeout == 0)
-            fatal("--txn-prepare-timeout must be positive");
-        if (scn.qosRate < 0.0)
-            fatal("--qos-rate must be >= 0");
-        if (scn.qosBurst <= 0.0)
-            fatal("--qos-burst must be positive");
-        if (scn.qosShedBatch <= 0.0 || scn.qosShedBatch > 1.0)
-            fatal("--qos-shed-batch must be in (0, 1]");
-        if (scn.qosShedBest <= 0.0 || scn.qosShedBest > 1.0)
-            fatal("--qos-shed-best must be in (0, 1]");
-        if (scn.obsInterval == 0)
-            fatal("--timeseries-interval must be positive");
-        if (scn.obsRing == 0)
-            fatal("--timeseries-ring must be positive");
-        if (scn.sloQuantile <= 0.0 || scn.sloQuantile >= 1.0)
-            fatal("--slo-quantile must be in (0, 1)");
-        if (scn.sloWindow == 0)
-            fatal("--slo-window must be positive");
-        if (scn.sloErrorRate < 0.0 || scn.sloErrorRate > 1.0)
-            fatal("--slo-error-rate must be in [0, 1]");
-    }
+    if ((" | " + kReportKinds + " | ").find(" | " + opt.report + " | ") ==
+        std::string::npos)
+        fatal(strCat("unknown report kind '", opt.report, "' (want ",
+                     kReportKinds, ")"));
+    if (!apps::validateScenario(scn, error))
+        fatal(error);
     if (opt.appFlag && !scn.genProfile.empty())
         fatal("--generate conflicts with --app (the sampled topology "
               "replaces the hand-written app)");
-    if (!scn.genProfile.empty() &&
-        gen::genProfileByName(scn.genProfile) == nullptr)
-        fatal(strCat("unknown gen profile '", scn.genProfile,
-                     "' (try --list-gen-profiles)"));
-    if (scn.genProfile.empty() &&
-        (scn.genDepth != 0 || scn.genWidth != 0 || scn.genFanout != 0.0))
-        fatal("--gen-depth/--gen-width/--gen-fanout need --generate");
-    if (scn.genDepth > 8)
-        fatal("--gen-depth must be <= 8");
-    if (scn.genWidth > 8)
-        fatal("--gen-width must be <= 8");
-    if (scn.genFanout < 0.0 || scn.genFanout > 8.0)
-        fatal("--gen-fanout must be in [0, 8]");
-    workload::ArrivalKind arrival_kind;
-    if (!workload::arrivalKindByName(scn.arrival, arrival_kind))
-        fatal(strCat("unknown --arrival kind '", scn.arrival,
-                     "' (want poisson, mmpp, diurnal or flash)"));
-    if (scn.arrivalBurst < 1.0)
-        fatal("--arrival-burst must be >= 1");
-    if (scn.arrivalDuty <= 0.0 || scn.arrivalDuty >= 1.0)
-        fatal("--arrival-duty must be in (0, 1)");
-    if (scn.arrivalDwell == 0)
-        fatal("--arrival-dwell must be positive");
-    if (scn.arrivalPeriod == 0)
-        fatal("--arrival-period must be positive");
-    if (scn.arrivalLow <= 0.0 || scn.arrivalLow > 1.0)
-        fatal("--arrival-low must be in (0, 1]");
-    if (scn.arrivalFlashMult < 1.0)
-        fatal("--arrival-flash-mult must be >= 1");
-    if (scn.arrivalFlashRamp == 0)
-        fatal("--arrival-flash-ramp must be positive");
     return true;
 }
 
@@ -758,112 +234,45 @@ main(int argc, char **argv)
         return 0;
     }
     const apps::Scenario &scn = opt.scn;
-
-    const apps::WorldConfig config = apps::worldConfigFor(scn);
-    const apps::Deployment deployment =
-        scn.placement == "partition" ? apps::Deployment::Partition
-                                     : apps::Deployment::Replicate;
-    apps::WorldHandle sharded(config, scn.shards, scn.threads,
-                              deployment);
+    // Declared before the meters, so the meters die first.
+    apps::ScenarioWorld world = apps::deployScenario(scn);
+    apps::WorldHandle &sharded = *world.handle;
     const unsigned nshards = sharded.shards();
+    const bool partitioned =
+        sharded.deployment() == apps::Deployment::Partition;
+    const std::vector<std::unique_ptr<obs::Pipeline>> &pipelines =
+        world.pipelines;
 
-    serverless::LambdaConfig lambda_cfg;
-    if (!scn.lambda.empty())
-        lambda_cfg.stateStore = scn.lambda == "s3"
-                                    ? serverless::StateStoreKind::S3
-                                    : serverless::StateStoreKind::
-                                          RemoteMemory;
-
-    // Build and configure every shard identically (modulo its seed).
-    // Per-shard application order matches the classic single-world
-    // driver step for step, so one shard reproduces it bit-for-bit.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+    // Energy meters schedule sampling events of their own, so they
+    // run only for the energy report.
     std::vector<std::unique_ptr<cpu::EnergyMeter>> meters;
-    // One pipeline per shard, sampling its own replica. Declared after
-    // the WorldHandle so each pipeline dies first, while the app it
-    // taps is still alive.
-    std::vector<std::unique_ptr<obs::Pipeline>> pipelines;
-    for (unsigned s = 0; s < nshards; ++s) {
-        apps::World &world = sharded.shard(s);
-        apps::buildScenarioApp(world, scn);
-        service::App &app = *world.app;
-
-        if (!scn.lambda.empty())
-            serverless::LambdaPlatform::applyToApp(app, lambda_cfg,
-                                                   world.cluster);
-        if (scn.freqMhz > 0.0)
-            world.cluster.setAllFrequenciesMhz(scn.freqMhz);
-        if (scn.slowServers > 0)
-            world.cluster.injectSlowServers(scn.slowServers,
-                                            scn.slowFactor);
-
-        // Client-side resilience: apply the same policy to the callers
-        // of every tier. Left untouched (all flags at defaults) the RPC
-        // path is the legacy one and digests match older builds
-        // bit-for-bit.
-        if (scn.rpcTimeout || scn.retries || scn.breaker || scn.shed) {
-            for (service::Microservice *svc : app.services()) {
-                rpc::ResiliencePolicy &pol = svc->mutableDef().resilience;
-                pol.timeout = scn.rpcTimeout;
-                if (scn.retries) {
-                    pol.retry.maxAttempts = scn.retries + 1;
-                    pol.retry.budgetRatio = scn.retryBudget;
-                }
-                pol.breaker.enabled = scn.breaker;
-                pol.shedQueueLength = scn.shed;
-            }
-        }
-        if (scn.deadline)
-            app.setRequestDeadline(scn.deadline);
-
-        if (!scn.faults.empty()) {
-            auto injector = std::make_unique<fault::FaultInjector>(
-                app, apps::WorldHandle::shardSeed(scn.seed, s));
-            injector->addAll(scn.faults);
-            injector->arm();
-            injectors.push_back(std::move(injector));
-        }
-
+    for (unsigned s = 0; s < nshards && opt.report == "energy"; ++s) {
+        apps::World &w = sharded.shard(s);
         meters.push_back(std::make_unique<cpu::EnergyMeter>(
-            world.ctx, world.cluster, cpu::PowerModel::xeon()));
-        if (opt.report == "energy")
-            meters.back()->start();
-
-        if (auto pipe = apps::attachObservability(world, scn))
-            pipelines.push_back(std::move(pipe));
+            w.ctx, w.cluster, cpu::PowerModel::xeon()));
+        meters.back()->start();
     }
-    if (!injectors.empty()) {
+    if (!world.injectors.empty()) {
         // Every shard arms the same schedule; print it once.
         std::cout << "armed fault schedule:\n";
-        for (const fault::FaultSpec &spec : injectors.front()->schedule())
+        for (const fault::FaultSpec &spec :
+             world.injectors.front()->schedule())
             std::cout << "  " << spec.describe() << "\n";
     }
 
-    // Partitioned deployment: pin every tier to its home shard now
-    // that each shard's (identical) graph exists. Dies on a pin naming
-    // an unknown tier — the one placement error flag validation alone
-    // cannot catch.
-    if (deployment == apps::Deployment::Partition)
-        sharded.enablePartition(scn.pins);
-
     service::App &app = *sharded.shard(0).app;
-    const workload::UserPopulation users =
-        scn.skew >= 0.0
-            ? workload::UserPopulation::skewed(scn.users, scn.skew)
-            : workload::UserPopulation::uniform(scn.users);
-    apps::LoadSpec load;
-    load.qps = scn.qps;
-    load.warmup = secToTicks(scn.warmupSec);
-    load.measure = secToTicks(scn.durationSec);
-    load.users = users;
-    load.seed = scn.seed + 1;
-    load.arrival = apps::arrivalConfigFor(scn);
-    const auto r = apps::runWorld(sharded, load);
+    const auto r = apps::runWorld(sharded, apps::loadSpecFor(scn));
 
     // Cross-shard sums for the summary/report sections.
     std::uint64_t failed_total = 0;
     for (unsigned s = 0; s < nshards; ++s)
         failed_total += sharded.shard(s).app->failedRequests();
+    auto total = [&](const std::string &counter) {
+        std::uint64_t v = 0;
+        for (unsigned s = 0; s < nshards; ++s)
+            v += sharded.shard(s).app->metrics().counter(counter).value();
+        return v;
+    };
 
     // ---- summary ---------------------------------------------------------
     if (!scn.genProfile.empty()) {
@@ -881,12 +290,10 @@ main(int argc, char **argv)
     std::cout << (scn.genProfile.empty() ? scn.app
                                          : "gen:" + scn.genProfile)
               << " @ " << scn.qps << " qps on " << scn.servers
-              << "x " << config.coreModel.name;
+              << "x " << sharded.shard(0).config().coreModel.name;
     if (nshards > 1)
         std::cout << " (" << nshards << " shards, "
-                  << (deployment == apps::Deployment::Partition
-                          ? "partitioned, "
-                          : "")
+                  << (partitioned ? "partitioned, " : "")
                   << sharded.engine().threads() << " threads)";
     std::cout << "\n";
     TextTable summary({"metric", "value"});
@@ -981,6 +388,7 @@ main(int argc, char **argv)
     if (opt.report == "cost") {
         const Tick window = secToTicks(600.0);
         const serverless::Ec2CostModel ec2;
+        const std::string store = serverless::LambdaConfig{}.storeName;
         printBanner(std::cout, "cost (per 10 minutes)");
         if (scn.lambda.empty()) {
             std::cout << "EC2 reserved (" << scn.servers * nshards
@@ -995,9 +403,9 @@ main(int argc, char **argv)
             for (unsigned s = 0; s < nshards; ++s) {
                 service::App &a = *sharded.shard(s).app;
                 inv += serverless::LambdaPlatform::invocations(
-                    a, lambda_cfg.storeName);
+                    a, store);
                 billed += serverless::LambdaPlatform::billedDuration(
-                    a, lc, lambda_cfg.storeName);
+                    a, lc, store);
             }
             const double scale = 600.0 / scn.durationSec;
             std::cout << "Lambda (" << scn.lambda << " state): $"
@@ -1024,15 +432,8 @@ main(int argc, char **argv)
             "fault.crashes",
             "fault.messages_dropped",
         };
-        for (const char *name : kCounters) {
-            std::uint64_t total = 0;
-            for (unsigned s = 0; s < nshards; ++s)
-                total += sharded.shard(s)
-                             .app->metrics()
-                             .counter(name)
-                             .value();
-            t.add(name, total);
-        }
+        for (const char *name : kCounters)
+            t.add(name, total(name));
         {
             std::uint64_t net_dropped = 0;
             for (unsigned s = 0; s < nshards; ++s)
@@ -1070,14 +471,7 @@ main(int argc, char **argv)
                 const char *cls = service::qosClassName(
                     static_cast<service::QosClass>(c));
                 auto sum = [&](const char *what) {
-                    std::uint64_t total = 0;
-                    for (unsigned s = 0; s < nshards; ++s)
-                        total += sharded.shard(s)
-                                     .app->metrics()
-                                     .counter(strCat("admission.",
-                                                     what, ".", cls))
-                                     .value();
-                    return total;
+                    return total(strCat("admission.", what, ".", cls));
                 };
                 t.add(cls, sum("admitted"), sum("served"),
                       sum("shed"), sum("throttled"), sum("overflow"));
@@ -1228,15 +622,6 @@ main(int argc, char **argv)
             if (scn.txnKeys >= 2)
                 std::cout << ", 2PC over " << scn.txnKeys << " keys";
             std::cout << "\n";
-            auto sum = [&](const std::string &name) {
-                std::uint64_t v = 0;
-                for (unsigned s = 0; s < nshards; ++s)
-                    v += sharded.shard(s)
-                             .app->metrics()
-                             .counter(name)
-                             .value();
-                return v;
-            };
             TextTable t({"tier", "elections", "failovers", "trims",
                          "lost", "stale", "redirect", "quorum-", "stale-"});
             for (unsigned i = 0; i < app.services().size(); ++i) {
@@ -1244,21 +629,21 @@ main(int argc, char **argv)
                 if (!svc->replicated())
                     continue;
                 const std::string p = "replica." + svc->name() + ".";
-                t.add(svc->name(), sum(p + "elections"),
-                      sum(p + "failovers"), sum(p + "log_trims"),
-                      sum(p + "store_losses"), sum(p + "stale_reads"),
-                      sum(p + "ryw_redirects"), sum(p + "quorum_lost"),
-                      sum(p + "stale_rejects"));
+                t.add(svc->name(), total(p + "elections"),
+                      total(p + "failovers"), total(p + "log_trims"),
+                      total(p + "store_losses"), total(p + "stale_reads"),
+                      total(p + "ryw_redirects"), total(p + "quorum_lost"),
+                      total(p + "stale_rejects"));
             }
             t.print(std::cout);
             std::cout << "typed rejects settled by callers: quorum_lost="
-                      << sum("rpc.quorum_lost")
-                      << " stale=" << sum("rpc.stale_rejects") << "\n";
+                      << total("rpc.quorum_lost")
+                      << " stale=" << total("rpc.stale_rejects") << "\n";
             if (scn.txnKeys >= 2)
                 std::cout << "transactions: started="
-                          << sum("rpc.txn_started")
-                          << " committed=" << sum("rpc.txn_commits")
-                          << " aborted=" << sum("rpc.txn_aborts")
+                          << total("rpc.txn_started")
+                          << " committed=" << total("rpc.txn_commits")
+                          << " aborted=" << total("rpc.txn_aborts")
                           << "\n";
         }
     }

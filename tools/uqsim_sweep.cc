@@ -35,6 +35,7 @@
 #include "apps/scenario.hh"
 #include "core/json.hh"
 #include "core/logging.hh"
+#include "fault/fault.hh"
 
 using namespace uqsim;
 
@@ -161,15 +162,10 @@ parse(int argc, char **argv, Options &opt)
             std::stringstream ss(v);
             std::string part;
             while (std::getline(ss, part, ',')) {
-                try {
-                    std::size_t consumed = 0;
-                    const double q = std::stod(part, &consumed);
-                    if (consumed != part.size() || q <= 0.0)
-                        throw std::invalid_argument(part);
-                    opt.qpsGrid.push_back(q);
-                } catch (...) {
+                double q = 0.0;
+                if (!fault::parseNumber(part, q) || !(q > 0.0))
                     fatal(strCat("bad qps '", part, "' for ", flag));
-                }
+                opt.qpsGrid.push_back(q);
             }
             if (opt.qpsGrid.empty())
                 fatal("--qps needs at least one value");
