@@ -138,6 +138,31 @@ TEST(ServerTest, InFlightFrequencyChangeAffectsOnlyNewTasks)
     EXPECT_EQ(second, 2000u); // started after the cap
 }
 
+/** Counts copies of itself; moves are free. */
+struct CopyCounter
+{
+    explicit CopyCounter(int *copies) : copies(copies) {}
+    CopyCounter(const CopyCounter &o) : copies(o.copies) { ++*copies; }
+    CopyCounter(CopyCounter &&o) noexcept = default;
+    CopyCounter &operator=(const CopyCounter &) = delete;
+    void operator()(Tick) const {}
+    int *copies;
+};
+
+TEST(ServerTest, CompletionCallbackIsNeverCopied)
+{
+    Simulator sim;
+    Server s(sim, 0, tinyModel(1, 1000.0));
+    int copies = 0;
+    // The second task queues behind the first, so both the immediate
+    // and the pending start path are covered.
+    s.execute(1000, 1.0, CopyCounter(&copies));
+    s.execute(1000, 1.0, CopyCounter(&copies));
+    sim.run();
+    EXPECT_EQ(s.tasksCompleted(), 2u);
+    EXPECT_EQ(copies, 0);
+}
+
 TEST(ClusterTest, AddAndAccessServers)
 {
     Simulator sim;
