@@ -8,7 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <queue>
+#include <algorithm>
 #include <vector>
 
 #include "apps/social_network.hh"
@@ -23,7 +23,7 @@ namespace {
 
 /**
  * The pre-ladder-queue scheduler, kept as an in-bench baseline: a
- * std::priority_queue of entries with one shared_ptr cancellation
+ * binary heap of entries with one shared_ptr cancellation
  * state allocated per event. Used to quantify the ladder queue's
  * speedup on identical workloads (BM_EventChurn_* below).
  */
@@ -40,7 +40,8 @@ class BaselineHeapQueue
     schedule(Tick when, EventCallback cb)
     {
         auto state = std::make_shared<State>();
-        heap_.push(Entry{when, nextSeq_++, std::move(cb), state});
+        heap_.push_back(Entry{when, nextSeq_++, std::move(cb), state});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
         ++live_;
         return state;
     }
@@ -59,10 +60,15 @@ class BaselineHeapQueue
     std::pair<Tick, EventCallback>
     popNext()
     {
-        while (heap_.top().state->cancelled)
-            heap_.pop();
-        Entry entry = heap_.top();
-        heap_.pop();
+        // The callback is move-only: pop it to the back, then move it.
+        while (true) {
+            std::pop_heap(heap_.begin(), heap_.end(), Later{});
+            if (!heap_.back().state->cancelled)
+                break;
+            heap_.pop_back();
+        }
+        Entry entry = std::move(heap_.back());
+        heap_.pop_back();
         --live_;
         return {entry.when, std::move(entry.cb)};
     }
@@ -87,7 +93,7 @@ class BaselineHeapQueue
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    std::vector<Entry> heap_;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t live_ = 0;
 };

@@ -1,0 +1,166 @@
+/**
+ * @file
+ * A move-only small-buffer callable for the simulator's hot paths.
+ *
+ * std::function heap-allocates any capture larger than two pointers
+ * and copies its target on every copy. The event queue, the CPU model,
+ * the fabric and the connection pool hand a callback over for every
+ * simulated event, so they use InlineFunction instead: the callable is
+ * stored in a fixed inline buffer of `Capacity` bytes and moved, never
+ * copied. A callable that is larger than the buffer, over-aligned, or
+ * not nothrow-movable is heap-allocated instead, so any callable still
+ * works; it only costs an allocation. Each alias picks its capacity as
+ * a constant sized to the captures of its hot-path callers.
+ */
+
+#ifndef UQSIM_CORE_INLINE_FUNCTION_HH
+#define UQSIM_CORE_INLINE_FUNCTION_HH
+
+#include <cstddef>
+#include <functional>
+#include <new>
+#include <type_traits>
+#include <utility>
+
+namespace uqsim {
+
+template <typename Signature, std::size_t Capacity>
+class InlineFunction;
+
+template <typename R, typename... Args, std::size_t Capacity>
+class InlineFunction<R(Args...), Capacity>
+{
+    static_assert(Capacity >= sizeof(void *) &&
+                      Capacity % alignof(void *) == 0,
+                  "capacity must hold a pointer and keep it aligned");
+
+  public:
+    InlineFunction() noexcept = default;
+    InlineFunction(std::nullptr_t) noexcept {}
+
+    template <typename F,
+              typename Fn = std::decay_t<F>,
+              typename = std::enable_if_t<
+                  !std::is_same_v<Fn, InlineFunction> &&
+                  std::is_invocable_r_v<R, Fn &, Args...>>>
+    InlineFunction(F &&f)
+    {
+        // An empty std::function or a null function pointer stays empty.
+        if constexpr (std::is_constructible_v<bool, const Fn &>) {
+            if (!static_cast<bool>(f))
+                return;
+        }
+        if constexpr (fitsInline<Fn>()) {
+            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+            ops_ = &inlineOps<Fn>;
+        } else {
+            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
+            ops_ = &heapOps<Fn>;
+        }
+    }
+
+    InlineFunction(InlineFunction &&other) noexcept { take(other); }
+
+    InlineFunction &
+    operator=(InlineFunction &&other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            take(other);
+        }
+        return *this;
+    }
+
+    InlineFunction &
+    operator=(std::nullptr_t) noexcept
+    {
+        reset();
+        return *this;
+    }
+
+    InlineFunction(const InlineFunction &) = delete;
+    InlineFunction &operator=(const InlineFunction &) = delete;
+
+    ~InlineFunction() { reset(); }
+
+    explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+    /** Invoke the target; throws std::bad_function_call when empty. */
+    R
+    operator()(Args... args) const
+    {
+        if (!ops_)
+            throw std::bad_function_call();
+        return ops_->invoke(buf_, std::forward<Args>(args)...);
+    }
+
+    /** @return true when a callable of type F is stored inline. */
+    template <typename F>
+    static constexpr bool
+    fitsInline()
+    {
+        return sizeof(F) <= Capacity && alignof(F) <= alignof(void *) &&
+               std::is_nothrow_move_constructible_v<F>;
+    }
+
+  private:
+    struct Ops
+    {
+        R (*invoke)(void *, Args &&...);
+        /** Move-construct the target into dst and destroy it in src. */
+        void (*relocate)(void *dst, void *src) noexcept;
+        void (*destroy)(void *) noexcept;
+    };
+
+    template <typename F>
+    static constexpr Ops inlineOps = {
+        [](void *p, Args &&...args) -> R {
+            return (*static_cast<F *>(p))(std::forward<Args>(args)...);
+        },
+        [](void *dst, void *src) noexcept {
+            F *from = static_cast<F *>(src);
+            ::new (dst) F(std::move(*from));
+            from->~F();
+        },
+        [](void *p) noexcept { static_cast<F *>(p)->~F(); },
+    };
+
+    template <typename F>
+    static constexpr Ops heapOps = {
+        [](void *p, Args &&...args) -> R {
+            return (**static_cast<F **>(p))(std::forward<Args>(args)...);
+        },
+        [](void *dst, void *src) noexcept {
+            *static_cast<F **>(dst) = *static_cast<F **>(src);
+        },
+        [](void *p) noexcept { delete *static_cast<F **>(p); },
+    };
+
+    void
+    take(InlineFunction &other) noexcept
+    {
+        if (other.ops_) {
+            other.ops_->relocate(buf_, other.buf_);
+            ops_ = other.ops_;
+            other.ops_ = nullptr;
+        }
+    }
+
+    void
+    reset() noexcept
+    {
+        if (ops_) {
+            // Detach first: the target's destructor may reenter.
+            const Ops *ops = ops_;
+            ops_ = nullptr;
+            ops->destroy(buf_);
+        }
+    }
+
+    const Ops *ops_ = nullptr;
+    alignas(void *) mutable unsigned char buf_[Capacity];
+};
+
+} // namespace uqsim
+
+#endif // UQSIM_CORE_INLINE_FUNCTION_HH

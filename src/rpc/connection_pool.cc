@@ -18,7 +18,7 @@ ConnectionPool::ConnectionPool(unsigned max_connections, bool blocking,
 }
 
 ConnectionPool::Ticket
-ConnectionPool::acquire(std::function<void()> granted)
+ConnectionPool::acquire(Grant granted)
 {
     if (!blocking_) {
         ++inUse_;

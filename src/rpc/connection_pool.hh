@@ -16,7 +16,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+
+#include "core/inline_function.hh"
 
 namespace uqsim {
 class Counter;
@@ -48,13 +49,16 @@ class ConnectionPool
     using Ticket = std::uint64_t;
     static constexpr Ticket kGrantedImmediately = 0;
 
+    /** Runs once a connection is handed out. */
+    using Grant = InlineFunction<void(), 24>;
+
     /**
      * Request a connection; @p granted runs immediately if one is
      * free (or the pool is non-blocking), otherwise when released.
      * @return kGrantedImmediately if @p granted already ran, else a
      *         ticket for cancel().
      */
-    Ticket acquire(std::function<void()> granted);
+    Ticket acquire(Grant granted);
 
     /**
      * Abandon a parked acquire. @return true if the waiter was still
@@ -82,7 +86,7 @@ class ConnectionPool
     struct Waiter
     {
         Ticket ticket = 0;
-        std::function<void()> granted;
+        Grant granted;
     };
 
     unsigned maxConnections_;
