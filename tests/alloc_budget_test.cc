@@ -1,0 +1,134 @@
+/**
+ * @file
+ * Heap-allocation budget of the request path.
+ *
+ * A separate executable, because it replaces the global operator new
+ * with a counting one. It drives the 36-tier social network open-loop
+ * at 3000 qps (0.5 s warm-up, then 1 s measured) and checks that the
+ * measured second allocates at most kBudget times per injected
+ * request. The request path runs on pooled frames, inline callbacks
+ * and pooled event nodes; what is left per request is the Request
+ * object itself and the amortized growth of queues and pools.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "apps/social_network.hh"
+#include "workload/generators.hh"
+
+namespace {
+
+/** operator new calls so far (the test is single-threaded). */
+std::uint64_t allocations = 0;
+
+void *
+countedAlloc(std::size_t size)
+{
+    ++allocations;
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+countedAlignedAlloc(std::size_t size, std::align_val_t align)
+{
+    ++allocations;
+    const auto a = static_cast<std::size_t>(align);
+    // aligned_alloc wants the size to be a multiple of the alignment.
+    if (void *p = std::aligned_alloc(a, (size + a - 1) / a * a))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t size) { return countedAlloc(size); }
+void *operator new[](std::size_t size) { return countedAlloc(size); }
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    ++allocations;
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    ++allocations;
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAlignedAlloc(size, align);
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return countedAlignedAlloc(size, align);
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+namespace uqsim {
+namespace {
+
+/** Allocations allowed per injected request, measured steady state. */
+constexpr double kBudget = 10.0;
+
+TEST(AllocBudgetTest, SocialNetworkRequestPathStaysWithinBudget)
+{
+    apps::WorldConfig c;
+    c.workerServers = 5;
+    apps::World w(c);
+    apps::buildSocialNetwork(w);
+    workload::OpenLoopGenerator gen(
+        *w.app, workload::QueryMix::fromApp(*w.app),
+        workload::UserPopulation::uniform(1000), 43);
+    gen.setQps(3000.0);
+    gen.start();
+    w.sim.runFor(kTicksPerSec / 2); // pools and queues grow here
+
+    const std::uint64_t allocs0 = allocations;
+    const std::uint64_t injected0 = w.app->injected();
+    w.sim.runFor(kTicksPerSec);
+    const std::uint64_t allocs = allocations - allocs0;
+    const std::uint64_t injected = w.app->injected() - injected0;
+    gen.stop();
+
+    ASSERT_GT(injected, 2500u);
+    const double per_request =
+        static_cast<double>(allocs) / static_cast<double>(injected);
+    std::printf("%llu allocations for %llu requests: %.2f per request\n",
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(injected), per_request);
+    EXPECT_LE(per_request, kBudget);
+}
+
+} // namespace
+} // namespace uqsim

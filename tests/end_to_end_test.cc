@@ -216,6 +216,33 @@ TEST(IntegrationTest, DrainedRunHoldsNoRequestState)
     EXPECT_GT(w.app->completed(), 50u);
     EXPECT_EQ(w.app->liveHandlerContexts(), 0);
     EXPECT_EQ(w.app->liveRequests(), 0);
+    EXPECT_EQ(w.app->framesInUse(), 0);
+}
+
+TEST(IntegrationTest, DrainedRunWithRetriesHoldsNoRequestState)
+{
+    // The same invariant on the retry/timeout path: every attempt has a
+    // timeout event that is cancelled when the reply wins, attempts on
+    // a slowed server time out, and their calls retry. A cancelled
+    // timeout whose closure owns the attempt must not keep it alive.
+    World w(cfg());
+    apps::buildSocialNetwork(w);
+    for (service::Microservice *svc : w.app->services()) {
+        rpc::ResiliencePolicy &pol = svc->mutableDef().resilience;
+        pol.timeout = 5 * kTicksPerMs;
+        pol.retry.maxAttempts = 3;
+    }
+    w.cluster.injectSlowServers(1, 10.0);
+    workload::runLoad(*w.app, 100.0, kTicksPerSec / 2, kTicksPerSec,
+                      workload::QueryMix::fromApp(*w.app),
+                      workload::UserPopulation::uniform(100), 17);
+    w.sim.run(); // drain every pending event
+    EXPECT_GT(w.app->completed(), 50u);
+    EXPECT_GT(w.app->metrics().counter("rpc.timeouts").value(), 0u);
+    EXPECT_GT(w.app->metrics().counter("rpc.retries").value(), 0u);
+    EXPECT_EQ(w.app->liveHandlerContexts(), 0);
+    EXPECT_EQ(w.app->liveRequests(), 0);
+    EXPECT_EQ(w.app->framesInUse(), 0);
 }
 
 } // namespace

@@ -7,7 +7,10 @@
  * specification of the queue's behaviour. Random interleavings of
  * schedule / cancel / pop (fixed seeds, ~100k ops per profile) must
  * produce identical pop sequences, identical live counts and identical
- * nextTick() answers. Delay profiles are chosen to exercise the
+ * nextTick() answers. nextTick() is also called at random points
+ * between schedules and cancels, not only right before a pop, so the
+ * queue's memoized peek must survive (or be invalidated by) every
+ * kind of operation. Delay profiles are chosen to exercise the
  * near-future bucket ring, the overflow heap, and the boundary between
  * them (including bucket-ring wrap-around).
  */
@@ -64,6 +67,9 @@ TEST_P(EventQueueStressTest, MatchesReferenceModel)
 {
     const StressProfile &profile = GetParam();
     Rng rng(profile.seed);
+    // A stream of its own, so the operation sequence is the same with
+    // or without the extra peeks.
+    Rng peekRng(profile.seed ^ 0x5045454bull);
 
     EventQueue q;
     std::multiset<RefEvent> ref;
@@ -106,6 +112,7 @@ TEST_P(EventQueueStressTest, MatchesReferenceModel)
                 ASSERT_TRUE(h.isCancelled());
             }
         } else {
+            // A pop; the peek right before it is the run loop's.
             ASSERT_FALSE(ref.empty());
             const RefEvent expect = *ref.begin();
             ASSERT_EQ(q.nextTick(), expect.when);
@@ -118,6 +125,11 @@ TEST_P(EventQueueStressTest, MatchesReferenceModel)
         }
         ASSERT_EQ(q.size(), ref.size());
         ASSERT_EQ(q.empty(), ref.empty());
+        // A peek between operations: memoizes a node the next
+        // schedule or cancel may have to invalidate.
+        if (!ref.empty() && peekRng.bernoulli(0.3)) {
+            ASSERT_EQ(q.nextTick(), ref.begin()->when);
+        }
     }
 
     // Drain: the full remaining order must match the reference.
