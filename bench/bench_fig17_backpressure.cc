@@ -15,7 +15,6 @@
 #include "bench_common.hh"
 #include "apps/profiles.hh"
 #include "manager/autoscaler.hh"
-#include "manager/monitor.hh"
 #include "obs/culprit.hh"
 #include "obs/pipeline.hh"
 #include "workload/generators.hh"
@@ -60,12 +59,10 @@ runCase(bool degraded_backend, double qps, const char *label)
     app.setQosLatency(5 * kTicksPerMs);
     app.validate();
 
-    manager::Monitor mon(app, secToTicks(1.0));
-    mon.start();
-
-    // SLO monitor on the end-to-end stream: the same 5ms QoS target
-    // the autoscaler chases, evaluated per interval, so the localizer
-    // can name the tier that degraded first in each case.
+    // Per-tier interval series plus an SLO monitor on the end-to-end
+    // stream: the same 5ms QoS target the autoscaler chases, evaluated
+    // per interval, so the localizer can name the tier that degraded
+    // first in each case.
     obs::PipelineConfig pc;
     pc.interval = secToTicks(1.0);
     pc.ring = 128;
@@ -79,8 +76,7 @@ runCase(bool degraded_backend, double qps, const char *label)
     cfg.interval = secToTicks(1.0);
     cfg.startupDelay = secToTicks(3.0);
     cfg.cooldown = secToTicks(10.0);
-    cfg.signal = manager::AutoScaler::Signal::ThreadOccupancy;
-    manager::AutoScaler scaler(app, mon, cfg, [&]() -> cpu::Server & {
+    manager::AutoScaler scaler(app, cfg, [&]() -> cpu::Server & {
         return w->nextWorker();
     });
     scaler.watch("nginx");
@@ -118,14 +114,17 @@ runCase(bool degraded_backend, double qps, const char *label)
     TextTable table({"t(s)", "nginx p99(ms)", "memcached p99(ms)",
                      "nginx occup", "nginx CPU util", "nginx inst",
                      "drops"});
+    const service::Microservice &nginx_tier = app.service("nginx");
     for (int t = 4; t <= 60; t += 4) {
         w->sim.runUntil(secToTicks(static_cast<double>(t)));
-        const auto n = mon.latest("nginx");
-        const auto m = mon.latest("memcached");
+        const obs::IntervalSample &n = pipe.store().find("nginx")->latest();
+        const obs::IntervalSample &m =
+            pipe.store().find("memcached")->latest();
         table.add(t, fmtDouble(ticksToMs(n.p99), 2),
                   fmtDouble(ticksToMs(m.p99), 2),
-                  fmtDouble(n.occupancy, 2), fmtDouble(n.cpuUtil, 2),
-                  n.instances, app.droppedRequests());
+                  fmtDouble(nginx_tier.meanOccupancy(), 2),
+                  fmtDouble(n.utilization, 2),
+                  nginx_tier.activeInstances(), app.droppedRequests());
     }
     printBanner(std::cout, label);
     table.print(std::cout);

@@ -8,10 +8,10 @@
  * blocked on the saturated back-end.
  */
 
+#include <algorithm>
 #include <map>
 
 #include "bench_common.hh"
-#include "manager/monitor.hh"
 #include "obs/culprit.hh"
 #include "obs/pipeline.hh"
 #include "trace/analysis.hh"
@@ -45,12 +45,10 @@ main()
     apps::buildSocialNetwork(*w, opt);
     service::App &app = *w->app;
 
-    manager::Monitor mon(app, secToTicks(5.0));
-    mon.start();
-
-    // The online observability pipeline watches the same run: an SLO
-    // on end-to-end latency plus per-tier interval series, so the
-    // localizer can answer "which tier degraded first" afterwards.
+    // The online observability pipeline watches the run: an SLO on
+    // end-to-end latency plus per-tier interval series, which feed the
+    // latency panel and let the localizer answer "which tier degraded
+    // first" afterwards.
     obs::PipelineConfig pc;
     pc.interval = secToTicks(1.0);
     pc.ring = 256;
@@ -67,41 +65,46 @@ main()
 
     // Healthy period, then the hotspot: the server hosting the first
     // posts-db shard becomes slow (e.g. co-scheduled antagonist).
-    w->sim.runUntil(secToTicks(60.0));
+    // Occupancy is a point-in-time reading, taken from each tier as
+    // the run reaches each column.
+    constexpr int kHotspotSec = 60;
+    const std::vector<int> columns = {30, 60, 90, 120, 150, 180};
+    std::map<std::string, std::map<int, double>> occupancy;
     const unsigned hot_server =
         app.service("posts-db").instances()[0]->server().id();
-    w->cluster.server(hot_server).setSlowFactor(14.0);
-    w->sim.runUntil(secToTicks(180.0));
+    for (int t : columns) {
+        w->sim.runUntil(secToTicks(static_cast<double>(t)));
+        for (const std::string &tier : kTierOrder)
+            occupancy[tier][t] = app.service(tier).meanOccupancy();
+        if (t == kHotspotSec)
+            w->cluster.server(hot_server).setSlowFactor(14.0);
+    }
 
-    const auto baseline = mon.baselineLatency(10);
-
-    // (a) latency increase over baseline, per tier over time.
+    // (a) latency increase over the healthy-period median, per tier
+    // over time; (b) occupancy at the same instants. One 1s sample per
+    // second and a ring larger than the run: sample t-1 is the
+    // interval ending at t.
     TextTable lat({"tier \\ t(s)", "30", "60", "90", "120", "150", "180"});
     TextTable util({"tier \\ t(s)", "30", "60", "90", "120", "150", "180"});
-    std::map<std::string, std::map<int, const manager::TierSample *>> grid;
-    for (const auto &round : mon.history())
-        for (const auto &s : round)
-            grid[s.service][static_cast<int>(ticksToSec(s.time))] = &s;
-
     for (const std::string &tier : kTierOrder) {
+        const obs::Series &series = *pipe.store().find(tier);
+        std::vector<double> healthy;
+        for (std::size_t i = 0; i < kHotspotSec; ++i)
+            if (series.at(i).count > 0)
+                healthy.push_back(series.at(i).meanLatencyNs);
+        std::sort(healthy.begin(), healthy.end());
+        const double baseline =
+            healthy.empty() ? 0.0 : healthy[healthy.size() / 2];
         std::vector<std::string> lrow{tier}, urow{tier};
-        for (int t : {30, 60, 90, 120, 150, 180}) {
-            const manager::TierSample *sample = nullptr;
-            for (int dt = 0; dt < 6 && !sample; ++dt) {
-                auto it = grid[tier].find(t - dt);
-                if (it != grid[tier].end())
-                    sample = it->second;
-            }
-            if (!sample || !baseline.count(tier) ||
-                baseline.at(tier) <= 0.0) {
+        for (int t : columns) {
+            urow.push_back(fmtDouble(100.0 * occupancy[tier][t], 0) + "%");
+            if (baseline <= 0.0) {
                 lrow.push_back("-");
-                urow.push_back("-");
                 continue;
             }
             const double incr =
-                100.0 * (sample->meanLatency / baseline.at(tier) - 1.0);
+                100.0 * (series.at(t - 1).meanLatencyNs / baseline - 1.0);
             lrow.push_back(fmtDouble(std::max(0.0, incr), 0) + "%");
-            urow.push_back(fmtDouble(100.0 * sample->occupancy, 0) + "%");
         }
         lat.addRow(lrow);
         util.addRow(urow);

@@ -18,8 +18,7 @@
 #include "core/json.hh"
 #include "fault/injector.hh"
 #include "manager/autoscaler.hh"
-#include "manager/monitor.hh"
-#include "manager/qos.hh"
+#include "obs/pipeline.hh"
 #include "workload/generators.hh"
 
 using namespace uqsim;
@@ -41,16 +40,23 @@ runDesign(bool monolith, const char *label)
     // tiers saturate within the load range the experiment drives.
     apps::throttleLogicTiers(app, /*frontend=*/24, /*logic=*/2);
 
-    manager::Monitor mon(app, secToTicks(5.0));
-    mon.start();
+    // Series at the scaler's 5s grain; an entry-tier interval whose
+    // p99 is over the app QoS is a violation (window 1).
+    obs::PipelineConfig pc;
+    pc.interval = secToTicks(5.0);
+    pc.slo.tier = app.entry();
+    pc.slo.latency = app.config().qosLatency;
+    pc.slo.window = 1;
+    obs::Pipeline pipe(app, pc);
+    pipe.start();
+
     manager::AutoScaler::Config cfg;
     cfg.threshold = 0.7;
     cfg.interval = secToTicks(5.0);
     cfg.startupDelay = secToTicks(15.0);
     cfg.cooldown = secToTicks(20.0);
-    cfg.signal = manager::AutoScaler::Signal::ThreadOccupancy;
     cfg.maxScaleOutsPerRound = 1; // gradual upsizing, as real scalers
-    manager::AutoScaler scaler(app, mon, cfg, [&]() -> cpu::Server & {
+    manager::AutoScaler scaler(app, cfg, [&]() -> cpu::Server & {
         return w->nextWorker();
     });
     scaler.watchAllStateless();
@@ -67,34 +73,39 @@ runDesign(bool monolith, const char *label)
     gen.setQps(3600.0);
     w->sim.runUntil(secToTicks(300.0));
 
+    // Recovery: from detection until the second of two consecutive
+    // good entry samples (one can flatter a tier that got lucky).
+    const Tick qos = app.config().qosLatency;
+    const Tick detect = pipe.slo().firstViolationTime();
+    Tick recover = 0;
+    unsigned streak = 0;
     TextTable table({"t(s)", "entry p99(ms)", "QoS?", "instances added"});
-    std::size_t events_seen = 0;
-    for (const auto &round : mon.history()) {
-        const int t = static_cast<int>(ticksToSec(round[0].time));
+    const obs::Series &entry = *pipe.store().find(app.entry());
+    for (std::size_t i = 0; i < entry.size(); ++i) {
+        const obs::IntervalSample &s = entry.at(i);
+        const bool good = s.count > 0 && s.p99 <= qos;
+        if (detect && !recover && s.end > detect) {
+            streak = good ? streak + 1 : 0;
+            if (streak == 2)
+                recover = s.end - detect;
+        }
+        const int t = static_cast<int>(ticksToSec(s.end));
         if (t % 15 != 0)
             continue;
-        manager::TierSample entry;
-        for (const auto &s : round)
-            if (s.service == app.entry())
-                entry = s;
         std::size_t added = 0;
         for (const auto &e : scaler.events())
-            if (e.time <= round[0].time)
+            if (e.time <= s.end)
                 ++added;
-        table.add(t, fmtDouble(ticksToMs(entry.p99), 1),
-                  entry.p99 <= app.config().qosLatency ? "ok" : "VIOL",
-                  added);
-        events_seen = added;
+        table.add(t, fmtDouble(ticksToMs(s.p99), 1),
+                  s.p99 <= qos ? "ok" : "VIOL", added);
     }
     printBanner(std::cout, label);
     table.print(std::cout);
 
-    manager::QosTracker qos(app, mon, app.config().qosLatency);
-    const Tick detect = qos.firstEndToEndViolation();
-    const Tick recover = detect ? qos.recoveryTime(detect, 2) : 0;
+    const std::size_t scale_outs = scaler.events().size();
     if (detect == 0) {
         std::cout << "no QoS violation observed; scale-outs="
-                  << events_seen << "\n";
+                  << scale_outs << "\n";
     } else {
         std::cout << "QoS violation detected at t="
                   << fmtDouble(ticksToSec(detect), 0)
@@ -102,7 +113,7 @@ runDesign(bool monolith, const char *label)
                   << (recover ? fmtDouble(ticksToSec(recover), 0) + "s"
                               : std::string(
                                     "(not recovered in window)"))
-                  << "; scale-outs=" << events_seen << "\n";
+                  << "; scale-outs=" << scale_outs << "\n";
     }
 }
 
@@ -168,8 +179,10 @@ runCacheRecovery(bool replicated)
     inj.add(crash);
     inj.arm();
 
-    manager::Monitor mon(app, simTime(0.25));
-    mon.start();
+    obs::PipelineConfig pc;
+    pc.interval = simTime(0.25);
+    obs::Pipeline pipe(app, pc);
+    pipe.start();
 
     apps::LoadSpec load;
     load.qps = scn.qps;
@@ -179,19 +192,14 @@ runCacheRecovery(bool replicated)
     apps::runWorld(sw, load);
 
     RecoveryOutcome out;
-    for (const auto &round : mon.history()) {
-        manager::TierSample cache, entry;
-        for (const auto &s : round) {
-            if (s.service == "posts-memcached")
-                cache = s;
-            if (s.service == app.entry())
-                entry = s;
-        }
+    const obs::Series &cache = *pipe.store().find("posts-memcached");
+    const obs::Series &entry = *pipe.store().find(app.entry());
+    for (std::size_t i = 0; i < cache.size(); ++i) {
         CurvePoint p;
-        p.t = ticksToSec(round[0].time) / timeScale();
-        p.hitRatio = cache.hitRatio;
-        p.lookups = cache.cacheLookups;
-        p.entryP99Ms = ticksToMs(entry.p99);
+        p.t = ticksToSec(cache.at(i).end) / timeScale();
+        p.hitRatio = cache.at(i).hitRatio;
+        p.lookups = cache.at(i).cacheLookups;
+        p.entryP99Ms = ticksToMs(entry.at(i).p99);
         out.curve.push_back(p);
     }
 

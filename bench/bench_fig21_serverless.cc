@@ -8,7 +8,6 @@
 
 #include "bench_common.hh"
 #include "manager/autoscaler.hh"
-#include "manager/monitor.hh"
 #include "serverless/platform.hh"
 #include "workload/generators.hh"
 
@@ -125,14 +124,12 @@ diurnalPanel()
     auto ec2 = makeWorld(8);
     apps::buildSocialNetwork(*ec2);
     apps::throttleLogicTiers(*ec2->app, 24, 2);
-    manager::Monitor mon(*ec2->app, secToTicks(5.0));
-    mon.start();
     manager::AutoScaler::Config cfg;
     cfg.threshold = 0.7;
     cfg.interval = secToTicks(5.0);
     cfg.startupDelay = secToTicks(60.0); // EC2 instance boot time
     cfg.cooldown = secToTicks(10.0);
-    manager::AutoScaler scaler(*ec2->app, mon, cfg,
+    manager::AutoScaler scaler(*ec2->app, cfg,
                                [&]() -> cpu::Server & {
                                    return ec2->nextWorker();
                                });

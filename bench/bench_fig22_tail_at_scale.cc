@@ -15,8 +15,8 @@
 #include "apps/scenario.hh"
 #include "bench_common.hh"
 #include "core/json.hh"
-#include "manager/monitor.hh"
-#include "manager/rate_limiter.hh"
+#include "obs/pipeline.hh"
+#include "service/admission.hh"
 #include "workload/generators.hh"
 
 using namespace uqsim;
@@ -40,9 +40,15 @@ panelA()
     app.service("composePost").setThreadsPerInstance(2);
     app.service("readPost").setThreadsPerInstance(1);
 
-    manager::Monitor mon(app, secToTicks(5.0));
-    mon.start();
-    manager::RateLimiter limiter(app, 0.0); // unlimited initially
+    obs::PipelineConfig pc;
+    pc.interval = secToTicks(5.0);
+    obs::Pipeline pipe(app, pc);
+    pipe.start();
+    // Admission in front of the inject path: a token bucket of depth
+    // 32, unlimited until the operators step in.
+    constexpr double kBurst = 32.0;
+    service::TokenBucket limiter(0.0, kBurst);
+    std::uint64_t rejected = 0;
 
     Rng rng(11);
     workload::QueryMix mix = workload::QueryMix::fromApp(app);
@@ -50,7 +56,13 @@ panelA()
                                                                     0.9);
     const double qps = 3000.0;
     std::function<void()> arrivals = [&]() {
-        limiter.tryInject(mix.sample(rng), users.sample(rng));
+        // The user draw comes first; the arrival stream depends on it.
+        const std::uint64_t user = users.sample(rng);
+        const unsigned query = mix.sample(rng);
+        if (limiter.unlimited() || limiter.tryAcquire(w->sim.now(), 1.0))
+            app.inject(query, user);
+        else
+            ++rejected;
         const Tick gap = std::max<Tick>(
             1, static_cast<Tick>(
                    rng.exponential(static_cast<double>(kTicksPerSec) /
@@ -61,6 +73,9 @@ panelA()
 
     TextTable table({"t(s)", "entry p99(ms)", "composePost p99(ms)",
                      "readPost p99(ms)", "rejected", "drops"});
+    auto p99Ms = [&pipe](const std::string &tier) {
+        return ticksToMs(pipe.store().find(tier)->latest().p99);
+    };
     std::uint64_t last_rejected = 0;
     for (int t = 20; t <= 280; t += 20) {
         // Fault/recovery schedule around the stepped execution.
@@ -72,29 +87,18 @@ panelA()
         }
         if (t == 180) {
             // Operators rate-limit admitted traffic and fix routing.
-            limiter.setRateQps(800.0);
+            limiter = service::TokenBucket(800.0, kBurst);
             app.service("composePost").setRouteMisconfigured(false);
             app.service("readPost").setRouteMisconfigured(false);
         }
-        if (t == 240)
-            limiter.setRateQps(0.0); // limits lifted once queues drain
+        if (t == 240) // limits lifted once queues drain
+            limiter = service::TokenBucket(0.0, kBurst);
         w->sim.runUntil(secToTicks(static_cast<double>(t)));
-        manager::TierSample entry, compose, read;
-        for (const auto &round : {mon.history().back()})
-            for (const auto &s : round) {
-                if (s.service == app.entry())
-                    entry = s;
-                if (s.service == "composePost")
-                    compose = s;
-                if (s.service == "readPost")
-                    read = s;
-            }
-        table.add(t, fmtDouble(ticksToMs(entry.p99), 1),
-                  fmtDouble(ticksToMs(compose.p99), 2),
-                  fmtDouble(ticksToMs(read.p99), 2),
-                  limiter.rejected() - last_rejected,
+        table.add(t, fmtDouble(p99Ms(app.entry()), 1),
+                  fmtDouble(p99Ms("composePost"), 2),
+                  fmtDouble(p99Ms("readPost"), 2), rejected - last_rejected,
                   app.droppedRequests());
-        last_rejected = limiter.rejected();
+        last_rejected = rejected;
     }
     printBanner(std::cout,
                 "(a) routing misconfiguration at t=80s; rate limiting + "

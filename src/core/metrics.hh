@@ -2,11 +2,11 @@
  * @file
  * Unified metrics registry: the single sink every subsystem reports
  * through (request accounting, tracing collector, connection pools,
- * monitor, autoscaler).
+ * keyed data tiers, autoscaler).
  *
  * Names are dotted lower-case paths, most-general first:
- * "subsystem.metric" or "subsystem.metric.tier" (e.g.
- * "rpc.pool.blocked_acquires", "monitor.cpu_util.frontend"). Callers
+ * "subsystem.metric" or "subsystem.tier.metric" (e.g.
+ * "rpc.pool.blocked_acquires", "data.posts-memcached.hits"). Callers
  * resolve a metric once — counter()/gauge()/histogram() get-or-create
  * by name and return a reference with a stable address — and then
  * update through the reference, so hot-path updates are O(1) and

@@ -37,36 +37,4 @@ TimeWeightedGauge::reset(Tick now)
     resetTime_ = now;
 }
 
-WindowedStat::WindowedStat(Tick window) : window_(window)
-{
-    if (window == 0)
-        fatal("WindowedStat with zero window");
-}
-
-void
-WindowedStat::maybeRoll(Tick now)
-{
-    if (now >= windowStart_ + window_)
-        roll(now);
-}
-
-void
-WindowedStat::record(Tick now, std::uint64_t value)
-{
-    maybeRoll(now);
-    current_.record(value);
-}
-
-void
-WindowedStat::roll(Tick now)
-{
-    lastMean_ = current_.mean();
-    lastP99_ = current_.p99();
-    lastCount_ = current_.count();
-    current_.reset();
-    // Align the new window to the current time so long idle periods do
-    // not generate a burst of empty windows.
-    windowStart_ = now;
-}
-
 } // namespace uqsim

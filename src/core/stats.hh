@@ -13,7 +13,6 @@
 
 #include <cstdint>
 
-#include "core/histogram.hh"
 #include "core/types.hh"
 
 namespace uqsim {
@@ -72,42 +71,6 @@ class TimeWeightedGauge
     double integral_ = 0.0;
     Tick lastUpdate_ = 0;
     Tick resetTime_ = 0;
-};
-
-/**
- * Tumbling-window mean/tail tracker: feeds a fresh histogram per
- * window so cluster-manager components can see *recent* latency and
- * load rather than since-boot aggregates.
- */
-class WindowedStat
-{
-  public:
-    explicit WindowedStat(Tick window = 100 * kTicksPerMs);
-
-    /** Record a sample at time @p now. */
-    void record(Tick now, std::uint64_t value);
-
-    /** Mean of the most recently *completed* window (0 if none). */
-    double windowMean() const { return lastMean_; }
-
-    /** p99 of the most recently completed window (0 if none). */
-    std::uint64_t windowP99() const { return lastP99_; }
-
-    /** Sample count of the most recently completed window. */
-    std::uint64_t windowCount() const { return lastCount_; }
-
-    /** Force-close the current window at time @p now. */
-    void roll(Tick now);
-
-  private:
-    void maybeRoll(Tick now);
-
-    Tick window_;
-    Tick windowStart_ = 0;
-    Histogram current_;
-    double lastMean_ = 0.0;
-    std::uint64_t lastP99_ = 0;
-    std::uint64_t lastCount_ = 0;
 };
 
 } // namespace uqsim

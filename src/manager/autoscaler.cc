@@ -4,10 +4,9 @@
 
 namespace uqsim::manager {
 
-AutoScaler::AutoScaler(service::App &app, Monitor &monitor, Config config,
+AutoScaler::AutoScaler(service::App &app, Config config,
                        std::function<cpu::Server &()> placer)
-    : app_(app), monitor_(monitor), config_(config),
-      placer_(std::move(placer))
+    : app_(app), config_(config), placer_(std::move(placer))
 {
     if (!placer_)
         fatal("AutoScaler needs a placement function");
@@ -18,17 +17,17 @@ AutoScaler::watch(const std::string &service)
 {
     if (!app_.hasService(service))
         fatal(strCat("AutoScaler::watch unknown service '", service, "'"));
-    watched_.push_back(service);
+    watched_.push_back(Watched{&app_.service(service)});
 }
 
 void
 AutoScaler::watchAllStateless()
 {
-    for (const service::Microservice *svc : app_.services()) {
+    for (service::Microservice *svc : app_.services()) {
         const auto kind = svc->def().kind;
         if (kind == service::ServiceKind::Stateless ||
             kind == service::ServiceKind::Frontend)
-            watched_.push_back(svc->name());
+            watched_.push_back(Watched{svc});
     }
 }
 
@@ -49,18 +48,6 @@ AutoScaler::stop()
     pending_.cancel();
 }
 
-double
-AutoScaler::signalFor(const TierSample &s) const
-{
-    switch (config_.signal) {
-      case Signal::CpuUtilization:
-        return s.cpuUtil;
-      case Signal::ThreadOccupancy:
-        return s.occupancy;
-    }
-    return 0.0;
-}
-
 void
 AutoScaler::decideOnce()
 {
@@ -68,36 +55,29 @@ AutoScaler::decideOnce()
         return;
     const Tick now = app_.ctx().now();
     unsigned scaled_this_round = 0;
-    for (const std::string &name : watched_) {
+    for (Watched &w : watched_) {
         if (config_.maxScaleOutsPerRound &&
             scaled_this_round >= config_.maxScaleOutsPerRound)
             break;
-        const TierSample s = monitor_.latest(name);
-        const double value = signalFor(s);
+        const double value = w.svc->meanOccupancy();
         if (value < config_.threshold)
             continue;
-        const Tick last =
-            lastScale_.count(name) ? lastScale_[name] : 0;
-        if (last != 0 && now - last < config_.cooldown)
-            continue;
-        service::Microservice &svc = app_.service(name);
-        if (config_.maxInstances &&
-            svc.instances().size() >= config_.maxInstances)
+        if (w.lastScale != 0 && now - w.lastScale < config_.cooldown)
             continue;
 
         // Provision the instance now; it begins serving after the
         // startup (container pull + warmup) delay.
-        service::Instance &inst = svc.addInstance(placer_());
+        service::Instance &inst = w.svc->addInstance(placer_());
         inst.setActive(false);
         app_.ctx().schedule(config_.startupDelay, [&inst]() {
             inst.setActive(true);
         });
-        lastScale_[name] = now;
+        w.lastScale = now;
         ++scaled_this_round;
         app_.metrics().counter("autoscaler.scale_outs").inc();
         events_.push_back(ScaleEvent{
-            now, name, static_cast<unsigned>(svc.instances().size()),
-            value});
+            now, w.svc->name(),
+            static_cast<unsigned>(w.svc->instances().size()), value});
     }
     pending_ =
         app_.ctx().schedule(config_.interval, [this]() { decideOnce(); });

@@ -3,25 +3,22 @@
  * Utilization-threshold autoscaler (EC2-default style, Sec 6/7).
  *
  * The policy is deliberately the naive one the paper critiques: when a
- * watched signal (CPU utilization or thread occupancy) exceeds a
- * threshold, add an instance of that tier after a startup delay. It
- * fixes genuine single-tier saturation (Fig 17A) but mis-scales under
- * backpressure (Fig 17B) and takes long to find the culprit of a
- * cascading violation (Fig 20).
+ * watched tier's worker-thread occupancy exceeds a threshold, add an
+ * instance of that tier after a startup delay. It fixes genuine
+ * single-tier saturation (Fig 17A) but mis-scales under backpressure
+ * (Fig 17B) and takes long to find the culprit of a cascading
+ * violation (Fig 20).
  */
 
 #ifndef UQSIM_MANAGER_AUTOSCALER_HH
 #define UQSIM_MANAGER_AUTOSCALER_HH
 
-#include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hh"
 #include "cpu/server.hh"
-#include "manager/monitor.hh"
 #include "service/app.hh"
 
 namespace uqsim::manager {
@@ -36,18 +33,16 @@ struct ScaleEvent
 };
 
 /**
- * Threshold autoscaler over Monitor signals.
+ * Threshold autoscaler over per-tier thread occupancy.
+ *
+ * Each decision reads Microservice::meanOccupancy() of every watched
+ * tier at the instant the decision event runs: busy-or-blocked worker
+ * threads over capacity, the signal that looks saturated both when a
+ * tier is and when it is merely parked on a slow dependency.
  */
 class AutoScaler
 {
   public:
-    /** Which telemetry signal triggers scaling. */
-    enum class Signal
-    {
-        CpuUtilization,    ///< busy cores / capacity
-        ThreadOccupancy,   ///< busy-or-blocked worker threads
-    };
-
     struct Config
     {
         /** Scale-out trigger threshold (EC2 default-ish 0.7). */
@@ -62,12 +57,6 @@ class AutoScaler
         /** Minimum time between scale-outs of the same tier. */
         Tick cooldown = 5 * kTicksPerSec;
 
-        /** Signal driving decisions. */
-        Signal signal = Signal::ThreadOccupancy;
-
-        /** Cap on instances per tier (0 = unlimited). */
-        unsigned maxInstances = 0;
-
         /**
          * Scale-out budget per decision round (0 = unlimited): real
          * autoscalers upsize gradually, which is what makes them slow
@@ -78,10 +67,9 @@ class AutoScaler
 
     /**
      * @param app     application to scale
-     * @param monitor telemetry source (must outlive the scaler)
      * @param placer  returns the server to place each new instance on
      */
-    AutoScaler(service::App &app, Monitor &monitor, Config config,
+    AutoScaler(service::App &app, Config config,
                std::function<cpu::Server &()> placer);
 
     /** Watch a tier (untracked tiers never scale). */
@@ -90,7 +78,7 @@ class AutoScaler
     /** Watch every non-stateful tier of the app. */
     void watchAllStateless();
 
-    /** Begin making decisions. */
+    /** Begin making decisions (the first one interval from now). */
     void start();
     void stop();
 
@@ -98,15 +86,19 @@ class AutoScaler
     const std::vector<ScaleEvent> &events() const { return events_; }
 
   private:
+    /** One watched tier and the time it last scaled (0 = never). */
+    struct Watched
+    {
+        service::Microservice *svc = nullptr;
+        Tick lastScale = 0;
+    };
+
     void decideOnce();
-    double signalFor(const TierSample &s) const;
 
     service::App &app_;
-    Monitor &monitor_;
     Config config_;
     std::function<cpu::Server &()> placer_;
-    std::vector<std::string> watched_;
-    std::unordered_map<std::string, Tick> lastScale_;
+    std::vector<Watched> watched_;
     std::vector<ScaleEvent> events_;
     bool running_ = false;
     EventHandle pending_;

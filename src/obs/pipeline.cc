@@ -106,7 +106,7 @@ Pipeline::sampleAt(Tick boundary)
         s.start = start;
         s.end = boundary;
 
-        // Cumulative-counter deltas, Monitor-style: a counter that
+        // Cumulative-counter deltas: a counter that
         // shrank was reset (statReset after warmup), in which case the
         // current value *is* the delta since the reset.
         std::uint64_t served = 0, failed = 0;

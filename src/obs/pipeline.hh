@@ -8,7 +8,7 @@
  * admission-reject counts as requests finish — and a clock observer on
  * the app's shard: at every interval boundary it closes the interval,
  * derives the delta signals (RPS, error rate, utilization, hit ratio)
- * Monitor-style from cumulative instance counters, snapshots the
+ * from cumulative instance counters, snapshots the
  * sketches into an IntervalSample per tier plus one for the
  * end-to-end stream, and feeds the SLO monitor.
  *
@@ -95,7 +95,7 @@ class Pipeline : public service::ObsTap
         std::uint64_t rejects = 0;
         // Previous cumulative values, for interval deltas. The
         // "delta falls back to the current value" idiom below absorbs
-        // the statReset() after warmup, exactly as manager::Monitor.
+        // the statReset() after warmup.
         std::uint64_t lastServed = 0;
         std::uint64_t lastFailed = 0;
         Tick lastBusy = 0;

@@ -2076,7 +2076,6 @@ App::onReplySent(HandlerFrame &h, Tick reply_busy)
         Microservice &svc = h.inst->svc();
         if (h.replyStatus == RpcStatus::Ok) {
             svc.mutableLatency().record(dur);
-            svc.latencyWindow().record(ctx_.now(), dur);
             ++h.inst->served_;
             if (obsTap_)
                 obsTap_->onTierLatency(svc, dur);

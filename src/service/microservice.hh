@@ -421,9 +421,6 @@ class Microservice
     const Histogram &latency() const { return latency_; }
     Histogram &mutableLatency() { return latency_; }
 
-    /** Tier-level recent-latency window (autoscaler input). */
-    WindowedStat &latencyWindow() { return latencyWindow_; }
-
     /**
      * Change the per-instance worker-thread count. Must be called
      * while all instances are idle (e.g. right after building the
@@ -505,7 +502,6 @@ class Microservice
     Counter *replTxnAborts_ = nullptr;
 
     Histogram latency_;
-    WindowedStat latencyWindow_;
 
     double kernelCycles_ = 0.0, userCycles_ = 0.0, libCycles_ = 0.0;
     double kernelInstr_ = 0.0, userInstr_ = 0.0, libInstr_ = 0.0;

@@ -55,6 +55,14 @@ TEST(TokenBucketTest, RefillClampsAtBurst)
     EXPECT_NEAR(tb.available(100 * kTicksPerSec), 4.0, 1e-9);
 }
 
+TEST(TokenBucketTest, NonPositiveRateIsUnlimited)
+{
+    // No rate configured: callers skip the bucket and admit everything.
+    EXPECT_TRUE(TokenBucket(0.0, 32.0).unlimited());
+    EXPECT_TRUE(TokenBucket(-5.0, 32.0).unlimited());
+    EXPECT_FALSE(TokenBucket(100.0, 32.0).unlimited());
+}
+
 TEST(TokenBucketTest, ReserveOrderingProtectsHighPriority)
 {
     const AdmissionPolicy pol = policyWith(16, 100.0, 32.0);

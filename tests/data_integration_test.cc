@@ -17,7 +17,7 @@
 #include "apps/scenario.hh"
 #include "fault/fault.hh"
 #include "fault/injector.hh"
-#include "manager/monitor.hh"
+#include "obs/pipeline.hh"
 #include "workload/load_sweep.hh"
 
 namespace uqsim {
@@ -159,8 +159,10 @@ TEST(DataIntegrationTest, CrashColdCacheDipsAndRecovers)
     inj.add(crash);
     inj.arm();
 
-    manager::Monitor monitor(app, kTicksPerSec / 4);
-    monitor.start();
+    obs::PipelineConfig pc;
+    pc.interval = kTicksPerSec / 4;
+    obs::Pipeline pipe(app, pc);
+    pipe.start();
 
     apps::LoadSpec load;
     load.qps = scn.qps;
@@ -168,7 +170,6 @@ TEST(DataIntegrationTest, CrashColdCacheDipsAndRecovers)
     load.users = workload::UserPopulation::uniform(scn.users);
     load.seed = scn.seed + 1;
     apps::runWorld(w, load);
-    monitor.stop();
 
     // The restart wiped the shard's store.
     const data::CacheStats st =
@@ -176,17 +177,17 @@ TEST(DataIntegrationTest, CrashColdCacheDipsAndRecovers)
     EXPECT_GE(st.coldRestarts, 1u);
 
     // Mean interval hit ratio per phase of the run.
+    const obs::Series &series = *pipe.store().find("posts-memcached");
     auto phaseMean = [&](Tick from, Tick to) {
         double sum = 0.0;
         unsigned n = 0;
-        for (const auto &round : monitor.history())
-            for (const manager::TierSample &s : round) {
-                if (s.service != "posts-memcached" || s.time <= from ||
-                    s.time > to || s.cacheLookups == 0)
-                    continue;
-                sum += s.hitRatio;
-                ++n;
-            }
+        for (std::size_t i = 0; i < series.size(); ++i) {
+            const obs::IntervalSample &s = series.at(i);
+            if (s.end <= from || s.end > to || s.cacheLookups == 0)
+                continue;
+            sum += s.hitRatio;
+            ++n;
+        }
         EXPECT_GT(n, 0u) << "no samples in [" << from << ", " << to
                          << "]";
         return n ? sum / n : 0.0;

@@ -19,7 +19,7 @@
 #include "apps/builder.hh"
 #include "fault/fault.hh"
 #include "fault/injector.hh"
-#include "manager/monitor.hh"
+#include "obs/pipeline.hh"
 #include "service/app.hh"
 #include "trace/span.hh"
 
@@ -210,8 +210,10 @@ TEST_F(FaultScenarioTest, RequestsDuringOutageFailWithoutWedgingTheApp)
 TEST_F(FaultScenarioTest, ErrorWindowFailsRequestsAndMonitorSeesIt)
 {
     buildPair(/*backend_us=*/200.0, /*threads=*/8);
-    manager::Monitor monitor(*world_->app, 20 * kTicksPerMs);
-    monitor.start();
+    obs::PipelineConfig pc;
+    pc.interval = 20 * kTicksPerMs;
+    obs::Pipeline pipe(*world_->app, pc);
+    pipe.start();
     FaultInjector inj(*world_->app, 42);
     FaultSpec err;
     err.kind = FaultKind::ErrorRate;
@@ -224,8 +226,6 @@ TEST_F(FaultScenarioTest, ErrorWindowFailsRequestsAndMonitorSeesIt)
 
     std::vector<Outcome> outcomes;
     openLoop(/*qps=*/500.0, /*duration=*/250 * kTicksPerMs, outcomes);
-    world_->sim.scheduleAt(260 * kTicksPerMs,
-                           [&monitor]() { monitor.stop(); });
     world_->sim.run();
 
     unsigned in_window_fail = 0, outside_fail = 0;
@@ -246,11 +246,10 @@ TEST_F(FaultScenarioTest, ErrorWindowFailsRequestsAndMonitorSeesIt)
     EXPECT_GT(inj.requestsFailed(), 0u);
 
     // The operator's error-rate panel lights up during the window.
+    const obs::Series &backend = *pipe.store().find("backend");
     double peak = 0.0;
-    for (const auto &round : monitor.history())
-        for (const auto &s : round)
-            if (s.service == "backend")
-                peak = std::max(peak, s.errorRate);
+    for (std::size_t i = 0; i < backend.size(); ++i)
+        peak = std::max(peak, backend.at(i).errorRate);
     EXPECT_GT(peak, 0.9);
 }
 

@@ -1,16 +1,14 @@
 /**
  * @file
- * Tests for the cluster-management components: monitor, autoscaler,
- * rate limiter and QoS tracker.
+ * Tests for the cluster-management autoscaler.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "apps/builder.hh"
 #include "manager/autoscaler.hh"
-#include "manager/monitor.hh"
-#include "manager/qos.hh"
-#include "manager/rate_limiter.hh"
 #include "workload/generators.hh"
 
 namespace uqsim::manager {
@@ -39,65 +37,16 @@ buildOneTier(apps::World &w, double work_us, unsigned threads)
     w.app->validate();
 }
 
-TEST(MonitorTest, SamplesOnInterval)
-{
-    apps::World w(smallConfig());
-    buildOneTier(w, 200.0, 16);
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
-    w.sim.runFor(kTicksPerSec);
-    mon.stop();
-    EXPECT_NEAR(static_cast<double>(mon.history().size()), 10.0, 1.0);
-    EXPECT_EQ(mon.history()[0][0].service, "front");
-}
-
-TEST(MonitorTest, LatencyAndUtilizationUnderLoad)
-{
-    apps::World w(smallConfig());
-    buildOneTier(w, 400.0, 16);
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
-    workload::OpenLoopGenerator gen(*w.app, workload::QueryMix({1.0}),
-                                    workload::UserPopulation::uniform(10),
-                                    3);
-    gen.setQps(2000.0);
-    gen.start();
-    w.sim.runFor(2 * kTicksPerSec);
-    const TierSample s = mon.latest("front");
-    EXPECT_GT(s.p99, 0u);
-    EXPECT_GT(s.cpuUtil, 0.02);
-    EXPECT_EQ(s.instances, 1u);
-}
-
-TEST(MonitorTest, BaselineLatencyFromEarlyRounds)
-{
-    apps::World w(smallConfig());
-    buildOneTier(w, 200.0, 16);
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
-    workload::OpenLoopGenerator gen(*w.app, workload::QueryMix({1.0}),
-                                    workload::UserPopulation::uniform(10),
-                                    3);
-    gen.setQps(500.0);
-    gen.start();
-    w.sim.runFor(kTicksPerSec);
-    const auto base = mon.baselineLatency(5);
-    ASSERT_TRUE(base.count("front"));
-    EXPECT_GT(base.at("front"), 0.0);
-}
-
 TEST(AutoScalerTest, ScalesOutUnderSaturation)
 {
     apps::World w(smallConfig());
     buildOneTier(w, 500.0, 4); // 4 threads: saturates quickly
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
     AutoScaler::Config cfg;
     cfg.threshold = 0.7;
     cfg.interval = 200 * kTicksPerMs;
     cfg.startupDelay = 300 * kTicksPerMs;
     cfg.cooldown = 500 * kTicksPerMs;
-    AutoScaler scaler(*w.app, mon, cfg,
+    AutoScaler scaler(*w.app, cfg,
                       [&]() -> cpu::Server & { return w.nextWorker(); });
     scaler.watch("front");
     scaler.start();
@@ -118,9 +67,7 @@ TEST(AutoScalerTest, NoScalingWhenIdle)
 {
     apps::World w(smallConfig());
     buildOneTier(w, 200.0, 16);
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
-    AutoScaler scaler(*w.app, mon, AutoScaler::Config{},
+    AutoScaler scaler(*w.app, AutoScaler::Config{},
                       [&]() -> cpu::Server & { return w.nextWorker(); });
     scaler.watch("front");
     scaler.start();
@@ -132,14 +79,12 @@ TEST(AutoScalerTest, CooldownLimitsRate)
 {
     apps::World w(smallConfig());
     buildOneTier(w, 500.0, 2);
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
     AutoScaler::Config cfg;
     cfg.threshold = 0.5;
     cfg.interval = 100 * kTicksPerMs;
     cfg.cooldown = 2 * kTicksPerSec;
     cfg.startupDelay = 10 * kTicksPerSec; // never activates in test
-    AutoScaler scaler(*w.app, mon, cfg,
+    AutoScaler scaler(*w.app, cfg,
                       [&]() -> cpu::Server & { return w.nextWorker(); });
     scaler.watch("front");
     scaler.start();
@@ -150,31 +95,6 @@ TEST(AutoScalerTest, CooldownLimitsRate)
     gen.start();
     w.sim.runFor(4 * kTicksPerSec);
     EXPECT_LE(scaler.events().size(), 2u); // 4s / 2s cooldown
-}
-
-TEST(AutoScalerTest, MaxInstancesCap)
-{
-    apps::World w(smallConfig());
-    buildOneTier(w, 500.0, 2);
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
-    AutoScaler::Config cfg;
-    cfg.threshold = 0.4;
-    cfg.interval = 100 * kTicksPerMs;
-    cfg.cooldown = 100 * kTicksPerMs;
-    cfg.startupDelay = 100 * kTicksPerMs;
-    cfg.maxInstances = 2;
-    AutoScaler scaler(*w.app, mon, cfg,
-                      [&]() -> cpu::Server & { return w.nextWorker(); });
-    scaler.watch("front");
-    scaler.start();
-    workload::OpenLoopGenerator gen(*w.app, workload::QueryMix({1.0}),
-                                    workload::UserPopulation::uniform(10),
-                                    3);
-    gen.setQps(20000.0);
-    gen.start();
-    w.sim.runFor(4 * kTicksPerSec);
-    EXPECT_LE(w.app->service("front").instances().size(), 2u);
 }
 
 TEST(AutoScalerTest, ScaleBudgetLimitsPerRound)
@@ -200,15 +120,13 @@ TEST(AutoScalerTest, ScaleBudgetLimitsPerRound)
     app.addQueryType({"q", 1, 1.0, 0, {}});
     app.validate();
 
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
     AutoScaler::Config cfg;
     cfg.threshold = 0.5;
     cfg.interval = 100 * kTicksPerMs;
     cfg.cooldown = 100 * kTicksPerMs;
     cfg.startupDelay = 10 * kTicksPerSec; // stay saturated in-test
     cfg.maxScaleOutsPerRound = 1;
-    AutoScaler scaler(*w.app, mon, cfg,
+    AutoScaler scaler(*w.app, cfg,
                       [&]() -> cpu::Server & { return w.nextWorker(); });
     scaler.watch("a");
     scaler.watch("b");
@@ -227,59 +145,42 @@ TEST(AutoScalerTest, ScaleBudgetLimitsPerRound)
         EXPECT_GT(events[i].time, events[i - 1].time);
 }
 
-TEST(RateLimiterTest, AdmitsUpToRate)
+TEST(AutoScalerTest, DecisionsReadTheCurrentOccupancy)
 {
+    // The scaler starts from an event scheduled before the load, so
+    // its decisions run after every other event queued for their tick
+    // at start-up. Each one must still act on the occupancy at its own
+    // tick, which the clock observer records between events.
     apps::World w(smallConfig());
-    buildOneTier(w, 100.0, 32);
-    RateLimiter rl(*w.app, 100.0, 10.0);
-    // Burst of 50 at t=0: only the bucket depth is admitted.
-    int admitted = 0;
-    for (int i = 0; i < 50; ++i)
-        if (rl.tryInject(0, 1))
-            ++admitted;
-    EXPECT_EQ(admitted, 10);
-    EXPECT_EQ(rl.rejected(), 40u);
-    // After a second, ~100 more tokens have accrued (capped at burst).
-    w.sim.runFor(kTicksPerSec);
-    EXPECT_TRUE(rl.tryInject(0, 1));
-}
+    buildOneTier(w, 500.0, 4); // ~8k/s capacity, loaded to ~75% below
+    AutoScaler::Config cfg;
+    cfg.threshold = 0.5;
+    cfg.interval = 100 * kTicksPerMs;
+    cfg.cooldown = 300 * kTicksPerMs;
+    cfg.startupDelay = 10 * kTicksPerSec; // no activation mid-test
+    AutoScaler scaler(*w.app, cfg,
+                      [&]() -> cpu::Server & { return w.nextWorker(); });
+    scaler.watch("front");
+    const service::Microservice &front = w.app->service("front");
+    std::map<Tick, double> occupancy;
+    w.sim.addClockObserver(cfg.interval, [&](Tick boundary) {
+        occupancy[boundary] = front.meanOccupancy();
+    });
+    w.sim.schedule(200 * kTicksPerMs, [&scaler] { scaler.start(); });
 
-TEST(RateLimiterTest, UnlimitedWhenRateNonPositive)
-{
-    apps::World w(smallConfig());
-    buildOneTier(w, 100.0, 32);
-    RateLimiter rl(*w.app, 0.0);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_TRUE(rl.tryInject(0, 1));
-    EXPECT_EQ(rl.rejected(), 0u);
-}
-
-TEST(QosTrackerTest, DetectsViolationAndRecovery)
-{
-    apps::World w(smallConfig());
-    buildOneTier(w, 500.0, 4);
-    w.app->setQosLatency(3 * kTicksPerMs);
-    Monitor mon(*w.app, 100 * kTicksPerMs);
-    mon.start();
     workload::OpenLoopGenerator gen(*w.app, workload::QueryMix({1.0}),
                                     workload::UserPopulation::uniform(10),
                                     3);
-    // Healthy, then overloaded, then healthy again.
-    gen.setQps(200.0);
+    gen.setQps(6000.0);
     gen.start();
-    w.sim.runFor(kTicksPerSec);
-    gen.setQps(9000.0);
-    w.sim.runFor(2 * kTicksPerSec);
-    gen.setQps(100.0);
-    w.sim.runFor(4 * kTicksPerSec);
+    w.sim.runFor(3 * kTicksPerSec);
 
-    QosTracker qos(*w.app, mon, 3 * kTicksPerMs);
-    const Tick detect = qos.firstEndToEndViolation();
-    EXPECT_GT(detect, 0u);
-    EXPECT_GE(detect, kTicksPerSec / 2);
-    const Tick recovery = qos.recoveryTime(detect);
-    EXPECT_GT(recovery, 0u);
-    EXPECT_FALSE(qos.violations().empty());
+    ASSERT_GE(scaler.events().size(), 3u);
+    for (const ScaleEvent &e : scaler.events()) {
+        ASSERT_TRUE(occupancy.count(e.time)) << "t=" << e.time;
+        EXPECT_DOUBLE_EQ(e.signalValue, occupancy.at(e.time))
+            << "t=" << e.time;
+    }
 }
 
 } // namespace

@@ -19,7 +19,7 @@
 #include "apps/scenario.hh"
 #include "fault/fault.hh"
 #include "fault/injector.hh"
-#include "manager/monitor.hh"
+#include "obs/pipeline.hh"
 #include "replica/replication.hh"
 #include "workload/load_sweep.hh"
 
@@ -401,12 +401,13 @@ TEST(ReplicationIntegrationTest, ReadPreferencesDriveTheTypedCounters)
     EXPECT_GT(ryw.counter("replica.posts-memcached.ryw_redirects"), 0u);
 }
 
-/** One leader-crash run; returns the monitor plus the outcome. */
+/** One leader-crash run: the cache tier's series plus the outcome. */
 struct CrashRun
 {
     std::map<std::string, std::uint64_t> counters;
     data::CacheStats stats;
-    std::vector<std::vector<manager::TierSample>> history;
+    /** posts-memcached interval samples, oldest first. */
+    std::vector<obs::IntervalSample> cacheSeries;
     std::uint64_t completed = 0;
 };
 
@@ -437,20 +438,23 @@ runLeaderCrash(bool replicated, fault::CrashRole role)
     inj.add(crash);
     inj.arm();
 
-    manager::Monitor monitor(app, kTicksPerSec / 4);
-    monitor.start();
+    obs::PipelineConfig pc;
+    pc.interval = kTicksPerSec / 4;
+    obs::Pipeline pipe(app, pc);
+    pipe.start();
     apps::LoadSpec load;
     load.qps = scn.qps;
     load.measure = 9 * kTicksPerSec;
     load.users = workload::UserPopulation::uniform(scn.users);
     load.seed = scn.seed + 1;
     const auto r = apps::runWorld(w, load);
-    monitor.stop();
 
     CrashRun out;
     out.completed = r.completed;
     out.stats = app.service("posts-memcached").dataStats();
-    out.history = monitor.history();
+    const obs::Series &cache = *pipe.store().find("posts-memcached");
+    for (std::size_t i = 0; i < cache.size(); ++i)
+        out.cacheSeries.push_back(cache.at(i));
     for (const char *name :
          {"replica.posts-memcached.failovers",
           "replica.posts-memcached.log_trims",
@@ -467,14 +471,12 @@ phaseHitRatio(const CrashRun &run, Tick from, Tick to)
 {
     double sum = 0.0;
     unsigned n = 0;
-    for (const auto &round : run.history)
-        for (const manager::TierSample &s : round) {
-            if (s.service != "posts-memcached" || s.time <= from ||
-                s.time > to || s.cacheLookups == 0)
-                continue;
-            sum += s.hitRatio;
-            ++n;
-        }
+    for (const obs::IntervalSample &s : run.cacheSeries) {
+        if (s.end <= from || s.end > to || s.cacheLookups == 0)
+            continue;
+        sum += s.hitRatio;
+        ++n;
+    }
     EXPECT_GT(n, 0u) << "no samples in [" << from << ", " << to << "]";
     return n ? sum / n : 0.0;
 }

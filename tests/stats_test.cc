@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for counters, time-weighted gauges and windowed stats. The
- * named registry is covered in metrics_test.cc.
+ * Tests for counters and time-weighted gauges. The named registry is
+ * covered in metrics_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -60,35 +60,6 @@ TEST(TimeWeightedGaugeTest, AverageAtResetTimeIsCurrent)
     g.update(0, 0.7);
     g.reset(10);
     EXPECT_NEAR(g.average(10), 0.7, 1e-9);
-}
-
-TEST(WindowedStatTest, RollExposesLastWindow)
-{
-    WindowedStat s(100);
-    s.record(10, 500);
-    s.record(20, 700);
-    s.roll(100);
-    EXPECT_EQ(s.windowCount(), 2u);
-    EXPECT_NEAR(s.windowMean(), 600.0, 1.0);
-}
-
-TEST(WindowedStatTest, AutoRollOnWindowBoundary)
-{
-    WindowedStat s(100);
-    s.record(10, 500);
-    // Recording far past the boundary closes the previous window.
-    s.record(250, 900);
-    EXPECT_EQ(s.windowCount(), 1u);
-    EXPECT_NEAR(s.windowMean(), 500.0, 1.0);
-}
-
-TEST(WindowedStatTest, EmptyWindowReportsZero)
-{
-    WindowedStat s(100);
-    s.roll(100);
-    EXPECT_EQ(s.windowCount(), 0u);
-    EXPECT_EQ(s.windowMean(), 0.0);
-    EXPECT_EQ(s.windowP99(), 0u);
 }
 
 } // namespace

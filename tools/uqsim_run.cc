@@ -33,7 +33,6 @@
 #include "apps/catalog.hh"
 #include "apps/scenario.hh"
 #include "core/logging.hh"
-#include "data/cache_model.hh"
 #include "core/table.hh"
 #include "cpu/power.hh"
 #include "fault/fault.hh"
@@ -565,45 +564,20 @@ main(int argc, char **argv)
                       << scn.dataWrite << "\n";
             TextTable t({"tier", "lookups", "hit%", "evict", "expire",
                          "inval", "writes", "cold"});
-            for (unsigned i = 0; i < app.services().size(); ++i) {
-                // Sum the emergent per-instance stats across shards;
-                // the tier counter adds misses on downed shards.
-                data::CacheStats total;
-                bool keyed = false;
-                std::uint64_t unreachable = 0;
-                for (unsigned s = 0; s < nshards; ++s) {
-                    service::Microservice *svc =
-                        sharded.shard(s).app->services()[i];
-                    if (!svc->hasCacheModels())
-                        continue;
-                    keyed = true;
-                    const data::CacheStats st = svc->dataStats();
-                    total.hits += st.hits;
-                    total.misses += st.misses;
-                    total.evictions += st.evictions;
-                    total.expirations += st.expirations;
-                    total.invalidations += st.invalidations;
-                    total.writes += st.writes;
-                    total.coldRestarts += st.coldRestarts;
-                    unreachable +=
-                        sharded.shard(s)
-                            .app->metrics()
-                            .counter("data." + svc->name() + ".misses")
-                            .value() -
-                        st.misses;
-                }
-                if (!keyed)
+            for (const service::Microservice *svc : app.services()) {
+                // The tier's registry counters cover the measured
+                // window only (statReset after warmup) and count
+                // lookups on downed shards as misses.
+                if (!svc->hasCacheModels())
                     continue;
-                const std::uint64_t misses =
-                    total.misses + unreachable;
-                const std::uint64_t lookups = total.hits + misses;
-                t.add(app.services()[i]->name(), lookups,
-                      fmtDouble(lookups ? 100.0 * total.hits / lookups
-                                        : 0.0,
-                                2),
-                      total.evictions, total.expirations,
-                      total.invalidations, total.writes,
-                      total.coldRestarts);
+                const std::string p = "data." + svc->name() + ".";
+                const std::uint64_t hits = total(p + "hits");
+                const std::uint64_t lookups = hits + total(p + "misses");
+                t.add(svc->name(), lookups,
+                      fmtDouble(lookups ? 100.0 * hits / lookups : 0.0, 2),
+                      total(p + "evictions"), total(p + "expirations"),
+                      total(p + "invalidations"), total(p + "writes"),
+                      total(p + "cold_restarts"));
             }
             t.print(std::cout);
         }
