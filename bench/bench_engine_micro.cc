@@ -3,18 +3,24 @@
  * google-benchmark microbenchmarks of the simulation engine itself:
  * event queue throughput, RNG draws, histogram recording, and
  * end-to-end cost per simulated request on the Social Network graph.
+ *
+ * The global operator new is replaced by a counting one
+ * (tests/counting_new.hh), so BM_SocialNetworkRequest reports its
+ * heap allocations per request.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <vector>
 
 #include "apps/social_network.hh"
 #include "core/histogram.hh"
 #include "core/rng.hh"
 #include "core/simulator.hh"
+#include "counting_new.hh"
 #include "workload/generators.hh"
 
 using namespace uqsim;
@@ -22,10 +28,11 @@ using namespace uqsim;
 namespace {
 
 /**
- * The pre-ladder-queue scheduler, kept as an in-bench baseline: a
- * binary heap of entries with one shared_ptr cancellation
- * state allocated per event. Used to quantify the ladder queue's
- * speedup on identical workloads (BM_EventChurn_* below).
+ * The original scheduler, kept as an in-bench baseline: a binary heap
+ * of entries with one shared_ptr cancellation state allocated per
+ * event. Used to quantify EventQueue's speedup on identical workloads
+ * (BM_EventChurn_* below; the _Ladder rows keep the name they were
+ * recorded under in BENCH_engine.json).
  */
 class BaselineHeapQueue
 {
@@ -57,8 +64,8 @@ class BaselineHeapQueue
 
     bool empty() const { return live_ == 0; }
 
-    std::pair<Tick, EventCallback>
-    popNext()
+    void
+    runNext(Tick &now)
     {
         // The callback is move-only: pop it to the back, then move it.
         while (true) {
@@ -70,7 +77,8 @@ class BaselineHeapQueue
         Entry entry = std::move(heap_.back());
         heap_.pop_back();
         --live_;
-        return {entry.when, std::move(entry.cb)};
+        now = entry.when;
+        entry.cb();
     }
 
   private:
@@ -99,18 +107,19 @@ class BaselineHeapQueue
 };
 
 /** Adapter giving EventQueue the same driver surface as the baseline. */
-class LadderQueueDriver
+class EventQueueDriver
 {
   public:
+    template <typename F>
     EventHandle
-    schedule(Tick when, EventCallback cb)
+    schedule(Tick when, F &&cb)
     {
-        return queue_.schedule(when, std::move(cb));
+        return queue_.schedule(when, std::forward<F>(cb));
     }
 
     void cancel(EventHandle &h) { h.cancel(); }
     bool empty() const { return queue_.empty(); }
-    std::pair<Tick, EventCallback> popNext() { return queue_.popNext(); }
+    void runNext(Tick &now) { queue_.runNext(now); }
 
   private:
     EventQueue queue_;
@@ -130,9 +139,7 @@ runChurn(Queue &q, std::uint64_t events, unsigned depth, Rng &rng)
     for (unsigned i = 0; i < depth; ++i)
         q.schedule(1 + rng.uniformInt(2000), [] {});
     for (std::uint64_t done = 0; done < events; ++done) {
-        auto [when, cb] = q.popNext();
-        now = when;
-        cb();
+        q.runNext(now);
         q.schedule(now + 1 + rng.uniformInt(2000), [] {});
     }
 }
@@ -146,9 +153,7 @@ runChurnCancel(Queue &q, std::uint64_t events, unsigned depth, Rng &rng)
     for (unsigned i = 0; i < depth; ++i)
         q.schedule(1 + rng.uniformInt(2000), [] {});
     for (std::uint64_t done = 0; done < events; ++done) {
-        auto [when, cb] = q.popNext();
-        now = when;
-        cb();
+        q.runNext(now);
         q.schedule(now + 1 + rng.uniformInt(2000), [] {});
         auto timeout = q.schedule(now + 5000 + rng.uniformInt(5000), [] {});
         q.cancel(timeout);
@@ -164,7 +169,7 @@ static void
 BM_EventChurn_Ladder(benchmark::State &state)
 {
     for (auto _ : state) {
-        LadderQueueDriver q;
+        EventQueueDriver q;
         Rng rng(11);
         runChurn(q, kChurnEvents, kChurnDepth, rng);
     }
@@ -190,7 +195,7 @@ static void
 BM_EventChurnCancel_Ladder(benchmark::State &state)
 {
     for (auto _ : state) {
-        LadderQueueDriver q;
+        EventQueueDriver q;
         Rng rng(13);
         runChurnCancel(q, kChurnEvents, kChurnDepth, rng);
     }
@@ -274,13 +279,21 @@ BM_SocialNetworkRequest(benchmark::State &state)
     workload::QueryMix mix = workload::QueryMix::fromApp(*w.app);
     workload::UserPopulation users = workload::UserPopulation::uniform(100);
     Rng rng(7);
+    const std::uint64_t allocs0 = countedAllocations();
+    const auto start = std::chrono::steady_clock::now();
     for (auto _ : state) {
         w.app->inject(mix.sample(rng), users.sample(rng));
         w.sim.run();
     }
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    const auto requests = static_cast<double>(state.iterations());
+    const auto events = static_cast<double>(w.sim.eventsExecuted());
     state.SetItemsProcessed(state.iterations());
-    state.counters["events/req"] = benchmark::Counter(
-        static_cast<double>(w.sim.eventsExecuted()) /
-        static_cast<double>(state.iterations()));
+    state.counters["events/req"] = benchmark::Counter(events / requests);
+    state.counters["allocs_per_request"] = benchmark::Counter(
+        static_cast<double>(countedAllocations() - allocs0) / requests);
+    state.counters["ns_per_event"] =
+        benchmark::Counter(elapsed.count() / events);
 }
 BENCHMARK(BM_SocialNetworkRequest);

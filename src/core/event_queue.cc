@@ -1,7 +1,6 @@
 #include "core/event_queue.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/logging.hh"
 
@@ -9,28 +8,15 @@ namespace uqsim {
 
 namespace detail {
 
-EventNode *
-EventPool::allocate()
-{
-    if (!freeList) {
-        chunks.push_back(std::make_unique<EventNode[]>(kChunkNodes));
-        EventNode *arr = chunks.back().get();
-        for (std::size_t i = kChunkNodes; i-- > 0;) {
-            arr[i].next = freeList;
-            freeList = &arr[i];
-        }
-    }
-    EventNode *node = freeList;
-    freeList = node->next;
-    return node;
-}
-
 void
-EventPool::release(EventNode *node)
+EventPool::grow()
 {
-    node->cb = nullptr; // drop captured resources promptly
-    node->next = freeList;
-    freeList = node;
+    chunks.push_back(std::make_unique<EventNode[]>(kChunkNodes));
+    EventNode *arr = chunks.back().get();
+    for (std::size_t i = kChunkNodes; i-- > 0;) {
+        arr[i].next = freeList;
+        freeList = &arr[i];
+    }
 }
 
 } // namespace detail
@@ -45,14 +31,57 @@ fnv1aWord(std::uint64_t hash, std::uint64_t word)
     return hash * 1099511628211ull;
 }
 
+inline std::size_t
+ctz(std::uint64_t bits)
+{
+    return static_cast<std::size_t>(__builtin_ctzll(bits));
+}
+
+/** Fine bucket of tick @p when. */
+inline std::size_t
+fineIndex(Tick when)
+{
+    return static_cast<std::size_t>(when % EventQueue::kFineSpan);
+}
+
+/** Coarse slot of block @p block. */
+inline std::size_t
+coarseIndex(Tick block)
+{
+    return static_cast<std::size_t>(block % EventQueue::kCoarseSlots);
+}
+
+/** @return whether node @p a runs before the key (@p when, @p seq). */
+inline bool
+earlier(const detail::EventNode *a, Tick when, std::uint64_t seq)
+{
+    return a->when != when ? a->when < when : a->seq < seq;
+}
+
 } // namespace
 
-EventQueue::EventQueue()
-    : pool_(new detail::EventPool),
-      buckets_(kBuckets),
-      occWords_(kWords, 0),
-      sumWords_(kSumWords, 0)
-{}
+template <unsigned Bits>
+std::size_t
+EventQueue::Level<Bits>::first() const
+{
+    const std::size_t w = ctz(summary);
+    return (w << 6) + ctz(occ[w]);
+}
+
+template <unsigned Bits>
+std::size_t
+EventQueue::Level<Bits>::firstFrom(std::size_t start) const
+{
+    const std::size_t w = start >> 6;
+    // The rest of start's own word, then the words after it, then the
+    // wrap: the words before it and start's word again (whose bits at
+    // or after start are known to be clear by then).
+    if (const std::uint64_t bits = occ[w] & (~0ull << (start & 63)))
+        return (w << 6) + ctz(bits);
+    const std::uint64_t after = w == 63 ? 0 : summary & (~0ull << (w + 1));
+    const std::size_t next = ctz(after ? after : summary);
+    return (next << 6) + ctz(occ[next]);
+}
 
 EventQueue::~EventQueue()
 {
@@ -60,14 +89,16 @@ EventQueue::~EventQueue()
     // Nodes are retired one at a time, so a callback's destructor that
     // drops a handle to a node not yet retired finds it still queued.
     std::vector<detail::EventNode *> queued;
-    queued.reserve(bucketNodes_ + heap_.size());
-    for (std::size_t w = 0; w < kWords; ++w)
-        for (std::uint64_t bits = occWords_[w]; bits; bits &= bits - 1) {
-            const std::size_t b =
-                (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
-            for (detail::EventNode *n = buckets_[b].head; n; n = n->next)
-                queued.push_back(n);
-        }
+    const auto collect = [&queued](const auto &level) {
+        for (std::size_t w = 0; w < level.occ.size(); ++w)
+            for (std::uint64_t bits = level.occ[w]; bits; bits &= bits - 1) {
+                const Chain &c = level.chains[(w << 6) + ctz(bits)];
+                for (detail::EventNode *n = c.head; n; n = n->next)
+                    queued.push_back(n);
+            }
+    };
+    collect(wheel_->fine);
+    collect(wheel_->coarse);
     for (const HeapEntry &e : heap_)
         queued.push_back(e.node);
     for (detail::EventNode *n : queued) {
@@ -77,31 +108,26 @@ EventQueue::~EventQueue()
     detail::EventPool::unref(pool_);
 }
 
-EventHandle
-EventQueue::schedule(Tick when, EventCallback &&cb)
+void
+EventQueue::link(detail::EventNode *node, Tick when)
 {
-    detail::EventNode *node = pool_->allocate();
     node->when = when;
     node->seq = nextSeq_++;
-    node->cb = std::move(cb);
     node->next = nullptr;
     node->handleRefs = 1; // adopted by the returned handle
     node->status = detail::EventStatus::Scheduled;
     node->inQueue = true;
 
-    // Unsigned compare also routes when < cursor_ (never produced by
-    // Simulator, which forbids scheduling in the past) to the heap,
-    // which handles arbitrary ticks.
-    if (when - cursor_ < kBuckets) {
-        Bucket &b = buckets_[when & kBucketMask];
-        if (b.tail) {
-            b.tail->next = node;
-        } else {
-            b.head = node;
-            markOccupied(when & kBucketMask);
-        }
-        b.tail = node;
-        ++bucketNodes_;
+    // Unsigned block distance: 0 is the fine level's block, 1 up to
+    // kCoarseSlots - 1 a coarse slot; blocks behind the wheel (only
+    // reachable after a peek moved it past the clock) wrap to a huge
+    // distance and go to the heap with the far future.
+    const Tick block = when >> kFineBits;
+    const Tick ahead = block - curBlock_;
+    if (ahead == 0) {
+        wheel_->fine.append(fineIndex(when), node);
+    } else if (ahead < kCoarseSlots) {
+        wheel_->coarse.append(coarseIndex(block), node);
     } else {
         heap_.push_back(HeapEntry{when, node->seq, node});
         std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
@@ -111,100 +137,34 @@ EventQueue::schedule(Tick when, EventCallback &&cb)
         peeked_ = nullptr;
     ++pool_->liveCount;
     ++pool_->refs; // the returned handle's
-    return EventHandle(pool_, node);
-}
-
-void
-EventQueue::markOccupied(std::size_t bucket) const
-{
-    occWords_[bucket >> 6] |= 1ull << (bucket & 63);
-    sumWords_[bucket >> 12] |= 1ull << ((bucket >> 6) & 63);
-}
-
-void
-EventQueue::clearOccupied(std::size_t bucket) const
-{
-    occWords_[bucket >> 6] &= ~(1ull << (bucket & 63));
-    if (occWords_[bucket >> 6] == 0)
-        sumWords_[bucket >> 12] &= ~(1ull << ((bucket >> 6) & 63));
 }
 
 void
 EventQueue::retire(detail::EventNode *node) const
 {
+    node->cb = nullptr;
     node->inQueue = false;
-    // Move the callback out and release the node before the callback
-    // dies: destroying it may drop the node's last handle, whose
-    // reset() then releases the (already unlinked) node itself.
-    EventCallback cb;
-    if (node->status == detail::EventStatus::Cancelled)
-        cb = std::move(node->cb);
     if (node->handleRefs == 0)
         pool_->release(node);
 }
 
-std::size_t
-EventQueue::nextOccupiedWord(std::size_t word) const
+void
+EventQueue::cascade(std::size_t slot) const
 {
-    // Ring-forward scan of the summary bitmap for the first non-empty
-    // occupancy word strictly after `word`; after a full wrap the
-    // current word itself may be returned again (its low, not-yet-
-    // visited buckets are the ring-farthest region).
-    const std::size_t bit = word & 63;
-    const std::uint64_t afterMask = bit == 63 ? 0 : ~0ull << (bit + 1);
-    for (std::size_t i = 0; i <= kSumWords; ++i) {
-        const std::size_t idx = ((word >> 6) + i) & (kSumWords - 1);
-        std::uint64_t sbits = sumWords_[idx];
-        if (i == 0)
-            sbits &= afterMask;
-        else if (i == kSumWords)
-            sbits &= ~afterMask;
-        if (sbits)
-            return (idx << 6) +
-                   static_cast<std::size_t>(__builtin_ctzll(sbits));
-    }
-    return kInvalidBucket;
-}
-
-std::size_t
-EventQueue::firstLiveBucket() const
-{
-    if (bucketNodes_ == 0)
-        return kInvalidBucket;
-
-    // Walk the occupancy bitmap ring-forward from the cursor bucket.
-    // Live bucketed events have ticks in [cursor_, cursor_+kBuckets),
-    // so ring order is tick order; cancelled nodes (whose ticks may
-    // trail the cursor) are purged as they are encountered.
-    const std::size_t start =
-        static_cast<std::size_t>(cursor_) & kBucketMask;
-    std::size_t word = start >> 6;
-    std::uint64_t bits = occWords_[word] & (~0ull << (start & 63));
-    while (true) {
-        while (bits) {
-            const std::size_t bucket =
-                (word << 6) +
-                static_cast<std::size_t>(__builtin_ctzll(bits));
-            Bucket &b = buckets_[bucket];
-            while (b.head &&
-                   b.head->status == detail::EventStatus::Cancelled) {
-                detail::EventNode *dead = b.head;
-                b.head = dead->next;
-                --bucketNodes_;
-                retire(dead);
-            }
-            if (b.head)
-                return bucket;
-            b.tail = nullptr;
-            clearOccupied(bucket);
-            if (bucketNodes_ == 0)
-                return kInvalidBucket;
-            bits &= bits - 1;
+    // The fine level is empty, and the slot's chain is in scheduling
+    // order, so appending keeps every fine bucket in (tick, seq) order.
+    Wheel &w = *wheel_;
+    detail::EventNode *n = w.coarse.chains[slot].head;
+    w.coarse.clear(slot);
+    while (n) {
+        detail::EventNode *next = n->next;
+        if (n->status == detail::EventStatus::Cancelled) {
+            retire(n);
+        } else {
+            n->next = nullptr;
+            w.fine.append(fineIndex(n->when), n);
         }
-        word = nextOccupiedWord(word);
-        if (word == kInvalidBucket)
-            return kInvalidBucket;
-        bits = occWords_[word];
+        n = next;
     }
 }
 
@@ -220,85 +180,95 @@ EventQueue::purgeHeapTop() const
     }
 }
 
-detail::EventNode *
-EventQueue::peekNext(std::size_t *bucketIndex) const
+void
+EventQueue::peek() const
 {
-    if (!peeked_ || peeked_->status == detail::EventStatus::Cancelled) {
-        peeked_ = scanNext(&peekedBucket_);
-    }
-    *bucketIndex = peekedBucket_;
-    return peeked_;
-}
-
-detail::EventNode *
-EventQueue::scanNext(std::size_t *bucketIndex) const
-{
-    const std::size_t bucket = firstLiveBucket();
-    detail::EventNode *fromBucket =
-        bucket == kInvalidBucket ? nullptr : buckets_[bucket].head;
-    purgeHeapTop();
-    detail::EventNode *fromHeap =
-        heap_.empty() ? nullptr : heap_.front().node;
-
-    detail::EventNode *winner;
-    if (fromBucket && fromHeap) {
-        const bool bucketWins =
-            fromBucket->when != fromHeap->when
-                ? fromBucket->when < fromHeap->when
-                : fromBucket->seq < fromHeap->seq;
-        winner = bucketWins ? fromBucket : fromHeap;
-    } else {
-        winner = fromBucket ? fromBucket : fromHeap;
-    }
-    *bucketIndex =
-        (winner && winner == fromBucket) ? bucket : kInvalidBucket;
-    return winner;
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    std::size_t bucket;
-    const detail::EventNode *node = peekNext(&bucket);
-    if (!node)
-        panic("EventQueue::nextTick() on empty queue");
-    return node->when;
-}
-
-std::pair<Tick, EventCallback>
-EventQueue::popNext()
-{
-    std::size_t bucket;
-    detail::EventNode *node = peekNext(&bucket);
-    if (!node)
-        panic("EventQueue::popNext() on empty queue");
-
-    if (bucket != kInvalidBucket) {
-        Bucket &b = buckets_[bucket];
-        b.head = node->next;
-        if (!b.head) {
-            b.tail = nullptr;
-            clearOccupied(bucket);
+    Wheel &w = *wheel_;
+    while (true) {
+        // Purged even when the wheel wins: a drained queue must not keep
+        // cancelled far-future events (and what their callbacks own).
+        purgeHeapTop();
+        const HeapEntry *top = heap_.empty() ? nullptr : &heap_.front();
+        // The first fine bucket with a live head, purging on the way.
+        while (!w.fine.empty()) {
+            const std::size_t fine = w.fine.first();
+            Chain &c = w.fine.chains[fine];
+            while (c.head &&
+                   c.head->status == detail::EventStatus::Cancelled) {
+                detail::EventNode *dead = c.head;
+                c.head = dead->next;
+                retire(dead);
+            }
+            if (!c.head) {
+                w.fine.clear(fine);
+                continue;
+            }
+            if (!top || earlier(c.head, top->when, top->seq)) {
+                peeked_ = c.head;
+                peekedSlot_ = fine;
+                return;
+            }
+            break;
         }
-        --bucketNodes_;
+        if (top && (!w.fine.empty() || top->when >> kFineBits <= curBlock_)) {
+            // The heap's top precedes the wheel: a heap event in the
+            // fine level's block or an earlier one comes before every
+            // coarse event.
+            peeked_ = top->node;
+            peekedSlot_ = kHeapSlot;
+            return;
+        }
+        // The fine level is dry.
+        const Tick heapBlock = top ? top->when >> kFineBits : kMaxTick;
+        Tick coarseBlock = kMaxTick;
+        std::size_t coarseSlot = 0;
+        if (!w.coarse.empty()) {
+            const std::size_t start = coarseIndex(curBlock_ + 1);
+            coarseSlot = w.coarse.firstFrom(start);
+            coarseBlock = curBlock_ + 1 +
+                          ((coarseSlot - start) & (kCoarseSlots - 1));
+        }
+        if (coarseBlock == kMaxTick && !top)
+            panic("EventQueue: peek on an empty queue");
+        // Move the fine level up to the earliest pending block. A
+        // coarse slot of that block must come along even when a heap
+        // event is what moved it there: new events of the block go to
+        // the fine level from now on and may be later than the slot's.
+        curBlock_ = std::min(heapBlock, coarseBlock);
+        if (coarseBlock == curBlock_)
+            cascade(coarseSlot);
+    }
+}
+
+void
+EventQueue::runNext(Tick &now)
+{
+    if (!peeked_ || peeked_->status == detail::EventStatus::Cancelled)
+        peek();
+    detail::EventNode *node = peeked_;
+    peeked_ = nullptr;
+    if (peekedSlot_ != kHeapSlot) {
+        Chain &c = wheel_->fine.chains[peekedSlot_];
+        c.head = node->next;
+        if (!c.head)
+            wheel_->fine.clear(peekedSlot_);
     } else {
         std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
         heap_.pop_back();
     }
-    peeked_ = nullptr;
 
     node->status = detail::EventStatus::Fired;
     --pool_->liveCount;
     ++executed_;
     digest_ = fnv1aWord(fnv1aWord(digest_, node->when), node->seq);
-    if (node->when > cursor_)
-        cursor_ = node->when;
-
-    // Move the callback out before recycling: it may schedule new
-    // events, which mutates buckets/heap (and may reuse this node).
-    std::pair<Tick, EventCallback> out{node->when, std::move(node->cb)};
-    retire(node);
-    return out;
+    now = node->when;
+    // The node stays queued through the call and the destruction: the
+    // callback may schedule (the node is not on the free list) and may
+    // drop the last handle to it (which must not recycle it yet).
+    node->cb.consume();
+    node->inQueue = false;
+    if (node->handleRefs == 0)
+        pool_->release(node);
 }
 
 } // namespace uqsim

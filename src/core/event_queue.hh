@@ -8,20 +8,35 @@
  * scheduling time; cancellation is O(1) and the entry is discarded
  * lazily when the queue next encounters it.
  *
- * Internally this is a ladder/calendar queue rather than a binary heap:
- * a ring of per-tick FIFO buckets covers the near future (O(1) schedule
- * and pop for the common short-delay case), and an overflow min-heap
- * holds events scheduled beyond the bucket window. Event nodes are
- * pooled through an intrusive free list, so steady-state scheduling
- * performs no allocation. The execution order is exactly the global
- * (tick, sequence-number) order the old heap implementation produced,
- * and a running FNV-1a digest over every executed (tick, seq) pair lets
- * two runs be proven identical (see executionDigest()).
+ * Each event lives in a pooled node for its whole life: schedule()
+ * builds the callable in the node, runNext() calls it there and then
+ * destroys it there, so an event costs one construction, one call and
+ * one destruction and is never relocated. Nodes are recycled through
+ * an intrusive free list, so steady-state scheduling performs no
+ * allocation.
+ *
+ * The pending set is a two-level hashed timing wheel (Varghese and
+ * Lauck) in front of a binary heap, 32 KB of chain heads in all:
+ *
+ *  - the fine level holds the current block of kFineSpan ticks in
+ *    per-tick FIFO buckets;
+ *  - the coarse level holds the next kCoarseSlots - 1 blocks in
+ *    per-block FIFO slots; when the fine level runs dry, the earliest
+ *    slot is cascaded into it in scheduling order;
+ *  - the overflow heap takes everything beyond the coarse level, and
+ *    ticks in blocks the wheel has already moved past.
+ *
+ * Scheduling is O(1) at either level however many events share a
+ * slot. The execution order is exactly the global (tick,
+ * sequence-number) order, and a running FNV-1a digest over every
+ * executed (tick, seq) pair lets two runs be proven identical (see
+ * executionDigest()).
  */
 
 #ifndef UQSIM_CORE_EVENT_QUEUE_HH
 #define UQSIM_CORE_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -43,14 +58,14 @@ namespace detail {
 /** Lifecycle of a pooled event node. */
 enum class EventStatus : std::uint8_t
 {
-    Scheduled,  ///< linked in a bucket or the overflow heap
+    Scheduled,  ///< linked in the wheel or the overflow heap
     Fired,      ///< popped and executed (or being executed)
     Cancelled,  ///< cancelled before firing; unlinked lazily
 };
 
 /**
  * One scheduled event. Nodes are pooled and linked intrusively: the
- * same `next` pointer threads a node through its tick bucket's FIFO
+ * same `next` pointer threads a node through its wheel slot's FIFO
  * chain and, once retired, through the pool free list.
  */
 struct EventNode
@@ -62,7 +77,10 @@ struct EventNode
     /** Number of live EventHandle copies referring to this node. */
     std::uint32_t handleRefs = 0;
     EventStatus status = EventStatus::Fired;
-    /** Still linked in a bucket chain or the overflow heap. */
+    /**
+     * Owned by the queue: set from scheduling until the callback has
+     * been destroyed, so no handle can recycle the node before then.
+     */
     bool inQueue = false;
     EventCallback cb;
 };
@@ -87,10 +105,27 @@ struct EventPool
     std::uint64_t refs = 1;
 
     /** Pop a node off the free list, growing the pool if needed. */
-    EventNode *allocate();
+    EventNode *
+    allocate()
+    {
+        if (!freeList)
+            grow();
+        EventNode *node = freeList;
+        freeList = node->next;
+        return node;
+    }
 
-    /** Return a retired, unreferenced node to the free list. */
-    void release(EventNode *node);
+    /** Add one chunk of nodes to the free list. */
+    void grow();
+
+    /** Return a retired, unreferenced node (callback already
+     *  destroyed) to the free list. */
+    void
+    release(EventNode *node)
+    {
+        node->next = freeList;
+        freeList = node;
+    }
 
     /** Drop one reference; the last one deletes the pool. */
     static void
@@ -163,7 +198,7 @@ class EventHandle
         return node_ && node_->status == detail::EventStatus::Cancelled;
     }
 
-    /** @return true if the event already fired. */
+    /** @return true if the event already fired (or is firing). */
     bool
     hasFired() const
     {
@@ -186,10 +221,8 @@ class EventHandle
     {
         if (!node_)
             return;
-        if (--node_->handleRefs == 0 && !node_->inQueue &&
-            node_->status != detail::EventStatus::Scheduled) {
+        if (--node_->handleRefs == 0 && !node_->inQueue)
             pool_->release(node_);
-        }
         node_ = nullptr;
         detail::EventPool::unref(pool_);
         pool_ = nullptr;
@@ -200,13 +233,22 @@ class EventHandle
 };
 
 /**
- * Ladder/calendar queue of timed events with deterministic same-tick
- * FIFO ordering (globally: ascending (tick, sequence) order).
+ * Timing wheel of timed events with deterministic same-tick FIFO
+ * ordering (globally: ascending (tick, sequence) order).
  */
 class EventQueue
 {
+    static constexpr unsigned kFineBits = 10;
+    static constexpr unsigned kCoarseBits = 10;
+
   public:
-    EventQueue();
+    /** Ticks per fine block: one fine bucket per tick. */
+    static constexpr Tick kFineSpan = Tick(1) << kFineBits;
+    /** Coarse slots, one block each (the current block's is unused). */
+    static constexpr std::size_t kCoarseSlots = std::size_t(1)
+                                                << kCoarseBits;
+
+    EventQueue() = default;
 
     /**
      * Destroys the callbacks of events still queued (a run may stop
@@ -219,10 +261,19 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Schedule @p cb to fire at absolute time @p when.
+     * Schedule @p fn to fire at absolute time @p when. The callable is
+     * constructed in the event's pooled node.
      * @return a handle that may be used to cancel the event.
      */
-    EventHandle schedule(Tick when, EventCallback &&cb);
+    template <typename F>
+    EventHandle
+    schedule(Tick when, F &&fn)
+    {
+        detail::EventNode *node = pool_->allocate();
+        node->cb.emplace(std::forward<F>(fn));
+        link(node, when);
+        return EventHandle(pool_, node);
+    }
 
     /** @return true if no live (uncancelled) events remain. */
     bool empty() const { return pool_->liveCount == 0; }
@@ -234,19 +285,26 @@ class EventQueue
      * @return the firing time of the earliest live event.
      * @pre !empty()
      *
-     * The node found is memoized, so the run loop's peeks and the pop
-     * that follows them cost one queue scan per event.
+     * The node found is memoized, so the run loop's peeks and the
+     * runNext() that follows them cost one queue scan per event.
      */
-    Tick nextTick() const;
+    Tick
+    nextTick() const
+    {
+        if (!peeked_ || peeked_->status == detail::EventStatus::Cancelled)
+            peek();
+        return peeked_->when;
+    }
 
     /**
-     * Pop the earliest live event *without* running it. The caller
-     * (Simulator) advances its clock to the returned tick first and
-     * then invokes the callback, so event handlers always observe the
-     * correct current time.
+     * Run the earliest live event: unlink it, set @p now to its tick,
+     * call its callback in place and destroy the callback there.
+     * Handles report the event as fired from the call on; the node is
+     * recycled only once the callback is destroyed and no handle
+     * refers to it.
      * @pre !empty()
      */
-    std::pair<Tick, EventCallback> popNext();
+    void runNext(Tick &now);
 
     /** Total number of events ever executed (for stats/benchmarks). */
     std::uint64_t executedCount() const { return executed_; }
@@ -260,27 +318,74 @@ class EventQueue
     std::uint64_t executionDigest() const { return digest_; }
 
   private:
-    /** Near-future window: 2^14 one-tick buckets (~16us of sim time). */
-    static constexpr unsigned kBucketBits = 14;
-    static constexpr std::size_t kBuckets = std::size_t(1) << kBucketBits;
-    static constexpr std::size_t kBucketMask = kBuckets - 1;
-    static constexpr std::size_t kWords = kBuckets / 64;
-    static constexpr std::size_t kSumWords = kWords / 64;
-    static_assert(kSumWords > 0 && (kSumWords & (kSumWords - 1)) == 0,
-                  "the summary ring is walked with a mask");
-    static constexpr std::size_t kInvalidBucket = ~std::size_t(0);
+    /** peekedSlot_ value of a memoized node on the overflow heap. */
+    static constexpr std::size_t kHeapSlot = ~std::size_t(0);
 
-    /** FIFO chain of events sharing one firing tick. */
-    struct Bucket
+    /** FIFO chain of events sharing one wheel slot. */
+    struct Chain
     {
         detail::EventNode *head = nullptr;
         detail::EventNode *tail = nullptr;
     };
 
     /**
-     * Overflow-heap entry with the ordering key inline, so sift
-     * compares never dereference cold pool nodes.
+     * One wheel level: 2^Bits FIFO chains, an occupancy bitmap and a
+     * summary word over the bitmap (bit w set iff word w is non-zero).
      */
+    template <unsigned Bits>
+    struct Level
+    {
+        static constexpr std::size_t kSlots = std::size_t(1) << Bits;
+        static constexpr std::size_t kWords = kSlots / 64;
+        static_assert(kWords >= 1 && kWords <= 64,
+                      "one summary word covers the bitmap");
+
+        std::array<Chain, kSlots> chains{};
+        std::array<std::uint64_t, kWords> occ{};
+        std::uint64_t summary = 0;
+
+        bool empty() const { return summary == 0; }
+
+        void
+        append(std::size_t slot, detail::EventNode *node)
+        {
+            // Test the bitmap, not the chain: a wheel slot is usually
+            // empty, and its chain head is usually not in cache, so this
+            // leaves a store miss where a load would stall.
+            std::uint64_t &word = occ[slot >> 6];
+            const std::uint64_t bit = 1ull << (slot & 63);
+            Chain &c = chains[slot];
+            if (word & bit) {
+                c.tail->next = node;
+            } else {
+                c.head = node;
+                word |= bit;
+                summary |= 1ull << (slot >> 6);
+            }
+            c.tail = node;
+        }
+
+        /** Mark @p slot empty (its chain must already be unlinked). */
+        void
+        clear(std::size_t slot)
+        {
+            chains[slot] = Chain{};
+            std::uint64_t &word = occ[slot >> 6];
+            word &= ~(1ull << (slot & 63));
+            if (word == 0)
+                summary &= ~(1ull << (slot >> 6));
+        }
+
+        /** @return the lowest occupied slot. @pre !empty() */
+        std::size_t first() const;
+
+        /** @return the first occupied slot at or after @p start in
+         *  ring order. @pre !empty() */
+        std::size_t firstFrom(std::size_t start) const;
+    };
+
+    /** Overflow-heap entry with the ordering key inline, so sift
+     *  compares never dereference cold pool nodes. */
     struct HeapEntry
     {
         Tick when;
@@ -300,72 +405,64 @@ class EventQueue
         }
     };
 
-    void markOccupied(std::size_t bucket) const;
-    void clearOccupied(std::size_t bucket) const;
+    /** Stamp a freshly filled node and file it by its tick. */
+    void link(detail::EventNode *node, Tick when);
 
     /**
-     * Ring-forward scan for the next non-empty occupancy word after
-     * @p word (possibly @p word itself again after a full wrap).
-     * @return word index, or kInvalidBucket if none.
+     * Memoize the earliest live event and where it is (peeked_,
+     * peekedSlot_), purging cancelled nodes and cascading a coarse slot
+     * when the fine level runs dry. Panics when there is none.
      */
-    std::size_t nextOccupiedWord(std::size_t word) const;
+    void peek() const;
 
-    /**
-     * Find the bucket holding the earliest live bucketed event,
-     * purging cancelled nodes encountered on the way.
-     * @return bucket index, or kInvalidBucket if no live bucketed event.
-     */
-    std::size_t firstLiveBucket() const;
+    /** Move coarse slot @p slot's live events into the fine level. */
+    void cascade(std::size_t slot) const;
 
     /** Drop cancelled entries from the top of the overflow heap. */
     void purgeHeapTop() const;
 
     /**
-     * Unlink a retired node and recycle it if no handles remain. A
-     * cancelled node's callback is destroyed here too, after the node
-     * is released: the callback may hold the last handle to its own
-     * node (a timeout closure owning the state that owns the timeout's
-     * handle), so keeping it until the handles go would leak the cycle.
+     * Destroy a node's callback in place, then mark the node unqueued
+     * and recycle it if no handles remain. The callback may hold the
+     * last handle to its own node (a timeout closure owning the state
+     * that owns the timeout's handle); the node is still marked queued
+     * while it dies, so that handle cannot release it twice.
      */
     void retire(detail::EventNode *node) const;
 
+    detail::EventPool *pool_ = new detail::EventPool;
+
+    /** Block (tick >> kFineBits) held by the fine level. */
+    mutable Tick curBlock_ = 0;
+
     /**
-     * Select the earliest live event across buckets and heap, reusing
-     * the memoized result while it is still valid.
-     * @return the node, or nullptr if none; *bucketIndex tells where
-     *         (kInvalidBucket for the heap).
+     * The two levels, allocated apart from the queue. Every World
+     * embeds a Simulator beside its engine shard's queue; inline, the
+     * levels made both objects 33 KB larger, which the allocator
+     * turned into a 20% slower set-up of uqbench social-keyed-rw.
      */
-    detail::EventNode *peekNext(std::size_t *bucketIndex) const;
-
-    /** Full scan behind peekNext (purges cancelled nodes on the way). */
-    detail::EventNode *scanNext(std::size_t *bucketIndex) const;
-
-    detail::EventPool *pool_;
-
-    /** Ring of per-tick buckets covering [cursor_, cursor_+kBuckets). */
-    mutable std::vector<Bucket> buckets_;
-    /** Occupancy bitmap: bit b set iff buckets_[b] is non-empty. */
-    mutable std::vector<std::uint64_t> occWords_;
-    /** Summary bitmap: bit w set iff occWords_[w] != 0. */
-    mutable std::vector<std::uint64_t> sumWords_;
-    /** Nodes (live or cancelled) currently linked in buckets. */
-    mutable std::size_t bucketNodes_ = 0;
-
-    /** Overflow min-heap (HeapLater order) for events beyond the
-     *  bucket window. */
+    struct Wheel
+    {
+        /** Per-tick buckets of block curBlock_. */
+        Level<kFineBits> fine;
+        /** Per-block slots of blocks (curBlock_, curBlock_ +
+         *  kCoarseSlots), block b in slot b % kCoarseSlots. */
+        Level<kCoarseBits> coarse;
+    };
+    const std::unique_ptr<Wheel> wheel_ = std::make_unique<Wheel>();
+    /** Overflow min-heap (HeapLater order): blocks past the coarse
+     *  level, and blocks before curBlock_. */
     mutable std::vector<HeapEntry> heap_;
 
     /**
-     * Memo of the last peek: the earliest live node and its bucket.
-     * Null when unknown. Cleared by popNext and by scheduling an event
-     * at an earlier tick; a memoized node found cancelled is rescanned.
-     * A same-tick event goes behind it (FIFO), so it stays valid.
+     * Memo of the last peek: the earliest live node and its fine
+     * bucket (kHeapSlot for the heap). Null when unknown. Cleared by
+     * runNext and by scheduling an event at an earlier tick; a memoized
+     * node found cancelled is rescanned. A same-tick event goes behind
+     * it (FIFO), so it stays valid.
      */
     mutable detail::EventNode *peeked_ = nullptr;
-    mutable std::size_t peekedBucket_ = kInvalidBucket;
-
-    /** Max tick popped so far; lower bound for all live events. */
-    Tick cursor_ = 0;
+    mutable std::size_t peekedSlot_ = kHeapSlot;
 
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;

@@ -2,11 +2,16 @@
  * @file
  * Log-bucketed latency histogram with percentile queries.
  *
- * The bucketing scheme follows HdrHistogram: values are grouped into
- * power-of-two ranges, each subdivided into 2^subBucketBits linear
- * sub-buckets, giving a bounded relative error (~1.6% for 6 bits)
- * across the full 64-bit range with a few KB of memory. This is what
- * every tail-latency statistic in uqsim is built on.
+ * The bucketing scheme follows HdrHistogram: values below
+ * 2^subBucketBits are exact, and larger values are grouped into
+ * power-of-two ranges with linear sub-buckets. Only the upper half of
+ * each octave's 2^subBucketBits sub-buckets is ever filled, so a
+ * value in [2^m, 2^(m+1)) lands in a bucket 2^(m+1-subBucketBits)
+ * wide. percentile() answers with the bucket's upper bound, which
+ * overstates the sample by less than 2^-(subBucketBits-1) of it:
+ * under 3.125% for the default 6 bits, reached just above each power
+ * of two. This is what every tail-latency statistic in uqsim is built
+ * on.
  */
 
 #ifndef UQSIM_CORE_HISTOGRAM_HH
@@ -46,7 +51,9 @@ class Histogram
 
     /**
      * Value at percentile @p p in [0, 100]. Returns an upper bound of
-     * the bucket containing the requested rank (0 if empty).
+     * the bucket containing the requested rank (0 if empty): at least
+     * the sample at that rank and less than 2^-(subBucketBits-1)
+     * above it (see the file comment).
      */
     std::uint64_t percentile(double p) const;
 

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -45,18 +46,7 @@ class InlineFunction<R(Args...), Capacity>
                   std::is_invocable_r_v<R, Fn &, Args...>>>
     InlineFunction(F &&f)
     {
-        // An empty std::function or a null function pointer stays empty.
-        if constexpr (std::is_constructible_v<bool, const Fn &>) {
-            if (!static_cast<bool>(f))
-                return;
-        }
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
-            ops_ = &heapOps<Fn>;
-        }
+        construct(std::forward<F>(f));
     }
 
     InlineFunction(InlineFunction &&other) noexcept { take(other); }
@@ -83,6 +73,26 @@ class InlineFunction<R(Args...), Capacity>
 
     ~InlineFunction() { reset(); }
 
+    /**
+     * Replace the target with @p f, built directly in this object's
+     * buffer: an event scheduled with a lambda is constructed once, in
+     * its event node, and never relocated. An InlineFunction argument
+     * is moved in as a whole.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
+            static_assert(std::is_same_v<F, InlineFunction>,
+                          "InlineFunction is move-only: pass an rvalue");
+            take(f);
+        } else {
+            construct(std::forward<F>(f));
+        }
+    }
+
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
     /** Invoke the target; throws std::bad_function_call when empty. */
@@ -92,6 +102,23 @@ class InlineFunction<R(Args...), Capacity>
         if (!ops_)
             throw std::bad_function_call();
         return ops_->invoke(buf_, std::forward<Args>(args)...);
+    }
+
+    /**
+     * Invoke the target once and destroy it, leaving this empty. This
+     * is one indirect call where operator() and a reset are two, and
+     * it lets the compiler inline the target's body and destructor
+     * together. The target is detached before the call.
+     * Throws std::bad_function_call when empty.
+     */
+    R
+    consume(Args... args)
+    {
+        if (!ops_)
+            throw std::bad_function_call();
+        const Ops *ops = ops_;
+        ops_ = nullptr;
+        return ops->consume(buf_, std::forward<Args>(args)...);
     }
 
     /** @return true when a callable of type F is stored inline. */
@@ -107,15 +134,29 @@ class InlineFunction<R(Args...), Capacity>
     struct Ops
     {
         R (*invoke)(void *, Args &&...);
+        /** Invoke the target, then destroy it. */
+        R (*consume)(void *, Args &&...);
         /** Move-construct the target into dst and destroy it in src. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
+    };
+
+    /** Destroys an inline target when the call returns or throws. */
+    template <typename F>
+    struct DestroyAtEnd
+    {
+        F *target;
+        ~DestroyAtEnd() { target->~F(); }
     };
 
     template <typename F>
     static constexpr Ops inlineOps = {
         [](void *p, Args &&...args) -> R {
             return (*static_cast<F *>(p))(std::forward<Args>(args)...);
+        },
+        [](void *p, Args &&...args) -> R {
+            DestroyAtEnd<F> end{static_cast<F *>(p)};
+            return (*end.target)(std::forward<Args>(args)...);
         },
         [](void *dst, void *src) noexcept {
             F *from = static_cast<F *>(src);
@@ -130,11 +171,36 @@ class InlineFunction<R(Args...), Capacity>
         [](void *p, Args &&...args) -> R {
             return (**static_cast<F **>(p))(std::forward<Args>(args)...);
         },
+        [](void *p, Args &&...args) -> R {
+            const std::unique_ptr<F> target(*static_cast<F **>(p));
+            return (*target)(std::forward<Args>(args)...);
+        },
         [](void *dst, void *src) noexcept {
             *static_cast<F **>(dst) = *static_cast<F **>(src);
         },
         [](void *p) noexcept { delete *static_cast<F **>(p); },
     };
+
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
+                      "callable does not match the signature");
+        // An empty std::function or a null function pointer stays empty.
+        if constexpr (std::is_constructible_v<bool, const Fn &>) {
+            if (!static_cast<bool>(f))
+                return;
+        }
+        if constexpr (fitsInline<Fn>()) {
+            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+            ops_ = &inlineOps<Fn>;
+        } else {
+            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
+            ops_ = &heapOps<Fn>;
+        }
+    }
 
     void
     take(InlineFunction &other) noexcept

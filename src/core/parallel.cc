@@ -175,11 +175,8 @@ ParallelSimulator::runShard(Shard &s, Tick horizon)
     EventQueue &q = s.queue;
     if (s.observers.empty()) {
         // Observer-free fast path: no per-event boundary check.
-        while (!q.empty() && q.nextTick() < horizon) {
-            auto [when, cb] = q.popNext();
-            s.now = when;
-            cb();
-        }
+        while (!q.empty() && q.nextTick() < horizon)
+            q.runNext(s.now);
         return;
     }
     while (!q.empty() && q.nextTick() < horizon) {
@@ -192,9 +189,7 @@ ParallelSimulator::runShard(Shard &s, Tick horizon)
             fireClockObservers(s.observers, q.nextTick());
             s.nextBoundary = nextClockBoundary(s.observers);
         }
-        auto [when, cb] = q.popNext();
-        s.now = when;
-        cb();
+        q.runNext(s.now);
     }
 }
 

@@ -57,10 +57,11 @@ class SimContext
      * Schedule a callback @p delay ticks from now on this shard.
      * @return a cancellation handle.
      */
+    template <typename F>
     EventHandle
-    schedule(Tick delay, EventCallback cb)
+    schedule(Tick delay, F &&cb)
     {
-        return queue_->schedule(*now_ + delay, std::move(cb));
+        return queue_->schedule(*now_ + delay, std::forward<F>(cb));
     }
 
     /**
@@ -68,12 +69,13 @@ class SimContext
      * Scheduling in the past is an internal error; the panic reports
      * the offending when/now ticks and the shard.
      */
+    template <typename F>
     EventHandle
-    scheduleAt(Tick when, EventCallback cb)
+    scheduleAt(Tick when, F &&cb)
     {
         if (when < *now_)
             pastScheduleError(when);
-        return queue_->schedule(when, std::move(cb));
+        return queue_->schedule(when, std::forward<F>(cb));
     }
 
     /**

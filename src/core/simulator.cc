@@ -4,13 +4,11 @@
 
 namespace uqsim {
 
-EventHandle
-Simulator::scheduleAt(Tick when, EventCallback cb)
+void
+Simulator::pastScheduleError(Tick when) const
 {
-    if (when < now_)
-        panic(strCat("scheduleAt(when=", when, ") is ", now_ - when,
-                     " ticks in the past (now=", now_, ")"));
-    return queue_.schedule(when, std::move(cb));
+    panic(strCat("scheduleAt(when=", when, ") is ", now_ - when,
+                 " ticks in the past (now=", now_, ")"));
 }
 
 void
@@ -32,20 +30,15 @@ Simulator::run()
 {
     if (observers_.empty()) {
         // Observer-free fast path: no per-event boundary check.
-        while (!queue_.empty()) {
-            auto [when, cb] = queue_.popNext();
-            now_ = when;
-            cb();
-        }
+        while (!queue_.empty())
+            queue_.runNext(now_);
         return;
     }
     while (!queue_.empty()) {
         // Boundaries <= the next event time are due: every event
         // before them has executed, nothing at/after them has.
         maybeFireObservers(queue_.nextTick());
-        auto [when, cb] = queue_.popNext();
-        now_ = when;
-        cb();
+        queue_.runNext(now_);
     }
 }
 
@@ -55,19 +48,14 @@ Simulator::runUntil(Tick deadline)
     if (deadline < now_)
         panic(strCat("runUntil(", deadline, ") in the past; now=", now_));
     if (observers_.empty()) {
-        while (!queue_.empty() && queue_.nextTick() <= deadline) {
-            auto [when, cb] = queue_.popNext();
-            now_ = when;
-            cb();
-        }
+        while (!queue_.empty() && queue_.nextTick() <= deadline)
+            queue_.runNext(now_);
         now_ = deadline;
         return;
     }
     while (!queue_.empty() && queue_.nextTick() <= deadline) {
         maybeFireObservers(queue_.nextTick());
-        auto [when, cb] = queue_.popNext();
-        now_ = when;
-        cb();
+        queue_.runNext(now_);
     }
     now_ = deadline;
     // The window is fully executed: flush every boundary it covers.

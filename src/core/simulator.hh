@@ -92,17 +92,25 @@ class Simulator
      * Schedule a callback @p delay ticks from now.
      * @return a cancellation handle.
      */
+    template <typename F>
     EventHandle
-    schedule(Tick delay, EventCallback cb)
+    schedule(Tick delay, F &&cb)
     {
-        return queue_.schedule(now_ + delay, std::move(cb));
+        return queue_.schedule(now_ + delay, std::forward<F>(cb));
     }
 
     /**
      * Schedule a callback at absolute time @p when.
      * Scheduling in the past is an internal error.
      */
-    EventHandle scheduleAt(Tick when, EventCallback cb);
+    template <typename F>
+    EventHandle
+    scheduleAt(Tick when, F &&cb)
+    {
+        if (when < now_)
+            pastScheduleError(when);
+        return queue_.schedule(when, std::forward<F>(cb));
+    }
 
     /** Run until the event queue drains. */
     void run();
@@ -144,6 +152,8 @@ class Simulator
   private:
     /** SimContext schedules straight into the queue/clock. */
     friend class SimContext;
+
+    [[noreturn]] void pastScheduleError(Tick when) const;
 
     /**
      * Fire boundaries <= @p limit. The cached earliest-boundary tick

@@ -14,86 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
 #include "apps/social_network.hh"
+#include "counting_new.hh"
 #include "workload/generators.hh"
-
-namespace {
-
-/** operator new calls so far (the test is single-threaded). */
-std::uint64_t allocations = 0;
-
-void *
-countedAlloc(std::size_t size)
-{
-    ++allocations;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-countedAlignedAlloc(std::size_t size, std::align_val_t align)
-{
-    ++allocations;
-    const auto a = static_cast<std::size_t>(align);
-    // aligned_alloc wants the size to be a multiple of the alignment.
-    if (void *p = std::aligned_alloc(a, (size + a - 1) / a * a))
-        return p;
-    throw std::bad_alloc();
-}
-
-} // namespace
-
-void *operator new(std::size_t size) { return countedAlloc(size); }
-void *operator new[](std::size_t size) { return countedAlloc(size); }
-
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    ++allocations;
-    return std::malloc(size ? size : 1);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    ++allocations;
-    return std::malloc(size ? size : 1);
-}
-
-void *
-operator new(std::size_t size, std::align_val_t align)
-{
-    return countedAlignedAlloc(size, align);
-}
-
-void *
-operator new[](std::size_t size, std::align_val_t align)
-{
-    return countedAlignedAlloc(size, align);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
-
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace uqsim {
 namespace {
@@ -114,10 +38,10 @@ TEST(AllocBudgetTest, SocialNetworkRequestPathStaysWithinBudget)
     gen.start();
     w.sim.runFor(kTicksPerSec / 2); // pools and queues grow here
 
-    const std::uint64_t allocs0 = allocations;
+    const std::uint64_t allocs0 = countedAllocations();
     const std::uint64_t injected0 = w.app->injected();
     w.sim.runFor(kTicksPerSec);
-    const std::uint64_t allocs = allocations - allocs0;
+    const std::uint64_t allocs = countedAllocations() - allocs0;
     const std::uint64_t injected = w.app->injected() - injected0;
     gen.stop();
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Randomized stress test of the ladder-queue event scheduler against a
+ * Randomized stress test of the timing-wheel event scheduler against a
  * naive sorted-reference model.
  *
  * The reference model is an std::multiset ordered by (tick, seq) — the
@@ -10,13 +10,18 @@
  * nextTick() answers. nextTick() is also called at random points
  * between schedules and cancels, not only right before a pop, so the
  * queue's memoized peek must survive (or be invalidated by) every
- * kind of operation. Delay profiles are chosen to exercise the
- * near-future bucket ring, the overflow heap, and the boundary between
- * them (including bucket-ring wrap-around).
+ * kind of operation. Delay profiles are chosen to exercise the fine
+ * level, the coarse level, the overflow heap and the edges between
+ * them (including coarse-ring wrap-around). Anchored profiles peek and
+ * then schedule around the next pending event, as the partition
+ * engine does when it delivers mail after peeking every shard: a peek
+ * may move the wheel past the clock, and ticks behind it must still
+ * come first.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <set>
@@ -49,6 +54,8 @@ struct StressProfile
     /** Candidate delays ahead of the last popped tick. */
     std::vector<Tick> delaySpans;
     std::uint64_t seed;
+    /** Share of schedules placed around the next pending event. */
+    double anchorShare = 0.0;
 };
 
 // Prints a profile as its name, so the test listing (and the CTest names
@@ -90,8 +97,18 @@ TEST_P(EventQueueStressTest, MatchesReferenceModel)
             // span 0 means "exactly now" to stress same-tick FIFO.
             const Tick span = profile.delaySpans[rng.uniformInt(
                 profile.delaySpans.size())];
-            const Tick when =
-                now + (span == 0 ? 0 : rng.uniformInt(span));
+            const Tick delay = span == 0 ? 0 : rng.uniformInt(span);
+            Tick when = now + delay;
+            if (profile.anchorShare > 0.0 && !ref.empty() &&
+                rng.bernoulli(profile.anchorShare)) {
+                // Peek first, then land just behind the next event
+                // (never behind the clock) or at/after it.
+                const Tick next = q.nextTick();
+                ASSERT_EQ(next, ref.begin()->when);
+                when = rng.bernoulli(0.5)
+                           ? next - std::min(delay, next - now)
+                           : next + delay;
+            }
             const int id = nextId++;
             EventHandle h =
                 q.schedule(when, [&lastPopped, id] { lastPopped = id; });
@@ -116,12 +133,10 @@ TEST_P(EventQueueStressTest, MatchesReferenceModel)
             ASSERT_FALSE(ref.empty());
             const RefEvent expect = *ref.begin();
             ASSERT_EQ(q.nextTick(), expect.when);
-            auto [when, cb] = q.popNext();
-            cb();
-            ASSERT_EQ(when, expect.when);
+            q.runNext(now);
+            ASSERT_EQ(now, expect.when);
             ASSERT_EQ(lastPopped, expect.id);
             ref.erase(ref.begin());
-            now = when;
         }
         ASSERT_EQ(q.size(), ref.size());
         ASSERT_EQ(q.empty(), ref.empty());
@@ -135,9 +150,8 @@ TEST_P(EventQueueStressTest, MatchesReferenceModel)
     // Drain: the full remaining order must match the reference.
     while (!ref.empty()) {
         const RefEvent expect = *ref.begin();
-        auto [when, cb] = q.popNext();
-        cb();
-        ASSERT_EQ(when, expect.when);
+        q.runNext(now);
+        ASSERT_EQ(now, expect.when);
         ASSERT_EQ(lastPopped, expect.id);
         ref.erase(ref.begin());
     }
@@ -147,15 +161,33 @@ TEST_P(EventQueueStressTest, MatchesReferenceModel)
 INSTANTIATE_TEST_SUITE_P(
     Profiles, EventQueueStressTest,
     ::testing::Values(
-        // All delays inside the bucket ring (dense same-tick traffic).
+        // Dense same-tick traffic in the fine level and the first few
+        // coarse slots.
         StressProfile{"short", {0, 1, 16, 500, 4000}, 1001},
-        // Mostly overflow-heap traffic far beyond the ring.
+        // Mostly overflow-heap traffic far beyond the coarse level.
         StressProfile{"long", {1u << 20, 1u << 24, 1u << 18}, 1002},
-        // Mixed, straddling the ring/heap boundary so the same tick
-        // can hold both bucketed and heap events.
+        // Mixed, over all three levels, so one tick can be reached
+        // through the heap, a coarse slot and the fine level.
         StressProfile{
             "mixed", {0, 100, 10000, 16384, 16500, 100000, 1u << 22},
-            1003}),
+            1003},
+        // Delays around one fine block: every cascade, and the
+        // fine/coarse edge on both sides.
+        StressProfile{"fineedge", {1, 1000, 1023, 1024, 1025, 2048}, 1004},
+        // Delays around the coarse/heap edge (kFineSpan * kCoarseSlots
+        // ticks), so heap events land in blocks the wheel reaches.
+        StressProfile{"coarseedge",
+                      {1, 2000, (1u << 20) - 1024, 1u << 20,
+                       (1u << 20) + 1024, 1u << 21},
+                      1005},
+        // Mail after a peek: a third of the schedules land around the
+        // next pending event, often behind a peek-moved wheel.
+        StressProfile{"anchored", {0, 1, 700, 1024, 5000, 1u << 20},
+                      1006, 0.35},
+        // The same with the social-network shape: most delays a few
+        // blocks out, some far beyond the coarse level.
+        StressProfile{"anchoredsocial",
+                      {16, 12000, 16000, 130000, 1u << 22}, 1007, 0.2}),
     [](const ::testing::TestParamInfo<StressProfile> &info) {
         return info.param.name;
     });

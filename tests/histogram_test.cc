@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "core/histogram.hh"
@@ -130,6 +131,36 @@ TEST(HistogramTest, MaxNeverExceededByPercentile)
     h.record(1000003);
     h.record(17);
     EXPECT_LE(h.percentile(100.0), h.max());
+}
+
+TEST(HistogramTest, PercentileErrorStaysWithinStatedBound)
+{
+    // The header's bound: percentile() overstates a sample by less than
+    // 2^-(subBucketBits-1) of it, 3.125% for 6 bits. Sweep 64..2M:
+    // every value below 512, then 256 evenly spaced values per octave,
+    // which include every bucket's lower edge, where the error peaks.
+    constexpr std::uint64_t kTop = 4'000'000; // above every swept value
+    const double bound = 1.0 / 32.0;
+    double worst = 0.0;
+    std::uint64_t worstAt = 0;
+    for (std::uint64_t v = 64; v <= 2'000'000;
+         v += std::max<std::uint64_t>(1, std::bit_floor(v) >> 8)) {
+        Histogram h;
+        h.record(v);
+        h.record(kTop); // keeps the clamp to max() from hiding the bucket
+        const std::uint64_t got = h.percentile(50.0);
+        ASSERT_GE(got, v);
+        const double err =
+            static_cast<double>(got - v) / static_cast<double>(v);
+        ASSERT_LT(err, bound) << "v=" << v;
+        if (err > worst) {
+            worst = err;
+            worstAt = v;
+        }
+    }
+    // The bound is tight: the old "~1.6%" claim was not.
+    EXPECT_GT(worst, 0.031);
+    EXPECT_EQ(worstAt, 1048576u);
 }
 
 /**
