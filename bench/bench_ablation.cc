@@ -161,7 +161,7 @@ energyVsFrequency()
         auto w = makeWorld(5);
         apps::buildSocialNetwork(*w);
         w->cluster.setAllFrequenciesMhz(freq);
-        cpu::EnergyMeter meter(w->sim, w->cluster,
+        cpu::EnergyMeter meter(w->ctx, w->cluster,
                                cpu::PowerModel::xeon());
         meter.start();
         auto r = drive(*w->app, 1200.0, 1.0, 3.0);

@@ -283,12 +283,12 @@ BM_SocialNetworkRequest(benchmark::State &state)
     const auto start = std::chrono::steady_clock::now();
     for (auto _ : state) {
         w.app->inject(mix.sample(rng), users.sample(rng));
-        w.sim.run();
+        w.ctx.run();
     }
     const std::chrono::duration<double, std::nano> elapsed =
         std::chrono::steady_clock::now() - start;
     const auto requests = static_cast<double>(state.iterations());
-    const auto events = static_cast<double>(w.sim.eventsExecuted());
+    const auto events = static_cast<double>(w.ctx.eventsExecuted());
     state.SetItemsProcessed(state.iterations());
     state.counters["events/req"] = benchmark::Counter(events / requests);
     state.counters["allocs_per_request"] = benchmark::Counter(

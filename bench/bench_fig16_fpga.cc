@@ -40,12 +40,12 @@ runWith(apps::AppId id, bool fpga, double qps)
     workload::OpenLoopGenerator gen(*w.app, mix, users, 7);
     gen.setQps(qps);
     gen.start();
-    w.sim.runFor(simTime(1.0));
+    w.ctx.runFor(simTime(1.0));
     w.app->statReset();
     // Hook completions through manual injection of extra probes.
     Rng rng(3);
     for (int i = 0; i < 400; ++i) {
-        w.sim.runFor(simTime(2.0) / 400);
+        w.ctx.runFor(simTime(2.0) / 400);
         w.app->inject(mix.sample(rng), users.sample(rng),
                       [&](const service::Request &req) {
                           if (!req.dropped) {
@@ -55,7 +55,7 @@ runWith(apps::AppId id, bool fpga, double qps)
                           }
                       });
     }
-    w.sim.runFor(simTime(1.0));
+    w.ctx.runFor(simTime(1.0));
     gen.stop();
     Run out;
     out.tcpPerReqUs = done ? tcp_total / done / 1000.0 : 0.0;

@@ -81,7 +81,7 @@ runCase(bool degraded_backend, double qps, const char *label)
     });
     scaler.watch("nginx");
     // Let the arrival process settle before the first decision.
-    w->sim.schedule(secToTicks(4.0), [&scaler] { scaler.start(); });
+    w->ctx.schedule(secToTicks(4.0), [&scaler] { scaler.start(); });
 
     workload::OpenLoopGenerator gen(
         app, workload::QueryMix({1.0}),
@@ -91,10 +91,10 @@ runCase(bool degraded_backend, double qps, const char *label)
     if (!degraded_backend) {
         // Case A: the client load ramps up twice, pushing nginx past
         // its capacity each time (the paper's t=14s / t=35s pattern).
-        w->sim.schedule(secToTicks(8.0), [&gen, qps] {
+        w->ctx.schedule(secToTicks(8.0), [&gen, qps] {
             gen.setQps(3.0 * qps);
         });
-        w->sim.schedule(secToTicks(28.0), [&gen, qps] {
+        w->ctx.schedule(secToTicks(28.0), [&gen, qps] {
             gen.setQps(5.0 * qps);
         });
     } else {
@@ -102,7 +102,7 @@ runCase(bool degraded_backend, double qps, const char *label)
         // slows the memcached server 40x (~80us/op becomes ~3.2ms/op)
         // — a seemingly negligible per-op cost that saturates the
         // 2-thread instance.
-        w->sim.schedule(secToTicks(10.0), [&] {
+        w->ctx.schedule(secToTicks(10.0), [&] {
             const unsigned mc_server = app.service("memcached")
                                            .instances()[0]
                                            ->server()
@@ -116,7 +116,7 @@ runCase(bool degraded_backend, double qps, const char *label)
                      "drops"});
     const service::Microservice &nginx_tier = app.service("nginx");
     for (int t = 4; t <= 60; t += 4) {
-        w->sim.runUntil(secToTicks(static_cast<double>(t)));
+        w->ctx.runUntil(secToTicks(static_cast<double>(t)));
         const obs::IntervalSample &n = pipe.store().find("nginx")->latest();
         const obs::IntervalSample &m =
             pipe.store().find("memcached")->latest();

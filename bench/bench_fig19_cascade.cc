@@ -73,7 +73,7 @@ main()
     const unsigned hot_server =
         app.service("posts-db").instances()[0]->server().id();
     for (int t : columns) {
-        w->sim.runUntil(secToTicks(static_cast<double>(t)));
+        w->ctx.runUntil(secToTicks(static_cast<double>(t)));
         for (const std::string &tier : kTierOrder)
             occupancy[tier][t] = app.service(tier).meanOccupancy();
         if (t == kHotspotSec)

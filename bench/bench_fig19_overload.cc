@@ -97,7 +97,7 @@ runOnce(double mult, bool controlled, Tick horizon, Tick from,
             return;
         const Tick interval = static_cast<Tick>(kTicksPerSec / qps);
         for (Tick t = interval; t < horizon; t += interval)
-            world.sim.scheduleAt(t, [&world, &user_ok, query, t, from,
+            world.ctx.scheduleAt(t, [&world, &user_ok, query, t, from,
                                      horizon]() {
                 world.app->inject(
                     query, t / kTicksPerMs,
@@ -112,7 +112,7 @@ runOnce(double mult, bool controlled, Tick horizon, Tick from,
     };
     loop(0, kUserRps);
     loop(1, mult * kCapacityRps - kUserRps);
-    world.sim.run();
+    world.ctx.run();
 
     if (controlled)
         shed_batch =

@@ -69,9 +69,9 @@ runDesign(bool monolith, const char *label)
     gen.start();
 
     // Load spike at t=60s pushes several tiers past saturation.
-    w->sim.runUntil(secToTicks(60.0));
+    w->ctx.runUntil(secToTicks(60.0));
     gen.setQps(3600.0);
-    w->sim.runUntil(secToTicks(300.0));
+    w->ctx.runUntil(secToTicks(300.0));
 
     // Recovery: from detection until the second of two consecutive
     // good entry samples (one can flatter a tier that got lucky).

@@ -162,8 +162,8 @@ diurnalPanel()
         const Tick now = secToTicks(static_cast<double>(t));
         ec2->app->statReset();
         lam->app->statReset();
-        ec2->sim.runUntil(now);
-        lam->sim.runUntil(now);
+        ec2->ctx.runUntil(now);
+        lam->ctx.runUntil(now);
         unsigned instances = 0;
         for (const auto *svc : ec2->app->services())
             instances += static_cast<unsigned>(svc->instances().size());

@@ -59,7 +59,7 @@ panelA()
         // The user draw comes first; the arrival stream depends on it.
         const std::uint64_t user = users.sample(rng);
         const unsigned query = mix.sample(rng);
-        if (limiter.unlimited() || limiter.tryAcquire(w->sim.now(), 1.0))
+        if (limiter.unlimited() || limiter.tryAcquire(w->ctx.now(), 1.0))
             app.inject(query, user);
         else
             ++rejected;
@@ -67,9 +67,9 @@ panelA()
             1, static_cast<Tick>(
                    rng.exponential(static_cast<double>(kTicksPerSec) /
                                    qps)));
-        w->sim.schedule(gap, arrivals);
+        w->ctx.schedule(gap, arrivals);
     };
-    w->sim.schedule(1, arrivals);
+    w->ctx.schedule(1, arrivals);
 
     TextTable table({"t(s)", "entry p99(ms)", "composePost p99(ms)",
                      "readPost p99(ms)", "rejected", "drops"});
@@ -93,7 +93,7 @@ panelA()
         }
         if (t == 240) // limits lifted once queues drain
             limiter = service::TokenBucket(0.0, kBurst);
-        w->sim.runUntil(secToTicks(static_cast<double>(t)));
+        w->ctx.runUntil(secToTicks(static_cast<double>(t)));
         table.add(t, fmtDouble(p99Ms(app.entry()), 1),
                   fmtDouble(p99Ms("composePost"), 2),
                   fmtDouble(p99Ms("readPost"), 2), rejected - last_rejected,

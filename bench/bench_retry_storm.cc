@@ -83,7 +83,7 @@ runPolicy(bool retries, bool mitigated)
     out.good.assign(static_cast<std::size_t>(horizon / window), 0);
     const Tick interval = static_cast<Tick>(kTicksPerSec / 1200.0);
     for (Tick t = interval; t < horizon; t += interval)
-        world->sim.scheduleAt(t, [&world, &out, window, t]() {
+        world->ctx.scheduleAt(t, [&world, &out, window, t]() {
             world->app->inject(
                 0, t / kTicksPerMs, [&out, window](const auto &r) {
                     if (r.failStatus != 0 || r.dropped)
@@ -94,7 +94,7 @@ runPolicy(bool retries, bool mitigated)
                         ++out.good[idx];
                 });
         });
-    world->sim.run();
+    world->ctx.run();
     out.retries = app.metrics().counter("rpc.retries").value();
     out.breakerFastFails =
         app.metrics().counter("rpc.breaker_fast_fails").value();

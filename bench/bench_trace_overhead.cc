@@ -80,7 +80,7 @@ runOnce(const Mode &mode, unsigned requests)
     const double begin = threadSeconds();
     for (unsigned i = 0; i < requests; ++i) {
         w.app->inject(mix.sample(rng), users.sample(rng));
-        w.sim.run();
+        w.ctx.run();
     }
     return threadSeconds() - begin;
 }

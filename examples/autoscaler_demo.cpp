@@ -61,8 +61,8 @@ main()
     gen.start();
 
     // Flash-sale spike at t=60s.
-    world.sim.schedule(secToTicks(60.0), [&gen] { gen.setQps(2600.0); });
-    world.sim.runUntil(secToTicks(240.0));
+    world.ctx.schedule(secToTicks(60.0), [&gen] { gen.setQps(2600.0); });
+    world.ctx.runUntil(secToTicks(240.0));
 
     TextTable table({"t(s)", "front-end p99(ms)", "orders p99(ms)",
                      "queueMaster p99(ms)", "instances added"});

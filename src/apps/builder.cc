@@ -6,15 +6,22 @@
 
 namespace uqsim::apps {
 
-World::World(WorldConfig config) : World(std::move(config), External{}) {}
+World::World(WorldConfig config)
+    : engine_(std::make_unique<ParallelSimulator>(
+          ParallelSimulator::Config{})),
+      ctx(engine_->context(0)), cluster(ctx), config_(std::move(config))
+{
+    build();
+}
 
-World::World(WorldConfig config, SimContext external_ctx)
-    : World(std::move(config), External{true, external_ctx})
-{}
+World::World(WorldConfig config, SimContext shard_ctx)
+    : ctx(shard_ctx), cluster(ctx), config_(std::move(config))
+{
+    build();
+}
 
-World::World(WorldConfig config, External ext)
-    : ctx(ext.present ? ext.ctx : SimContext(sim)), cluster(ctx),
-      config_(config)
+void
+World::build()
 {
     if (config_.workerServers == 0)
         fatal("World with no worker servers");

@@ -8,11 +8,12 @@
  * a dedicated client server that injects user requests (so client-side
  * protocol costs are modelled but never bottleneck).
  *
- * Standalone, a World owns its Simulator and is driven through it, as
- * before. Inside a WorldHandle (apps/scenario.hh) each World is one
- * shard: it is constructed with the shard's SimContext, all of its
- * components schedule into that shard's queue/clock, and the
- * ParallelSimulator drives every shard together. Under the Replicate
+ * Standalone, a World owns a one-shard ParallelSimulator and is driven
+ * through its `ctx`. Inside a WorldHandle (apps/scenario.hh) each World
+ * is one shard and owns no engine: it is constructed with the shard's
+ * SimContext, all of its components schedule into that shard's
+ * queue/clock, and the handle's engine drives every shard together
+ * (`ctx.run*()` drives it too). Under the Replicate
  * deployment the N worlds are independent replicas; under Partition
  * they are N identical builds of ONE graph whose tiers are pinned to
  * home shards by the placement layer, with cross-shard RPCs riding
@@ -27,6 +28,7 @@
 #include <string>
 
 #include "core/distributions.hh"
+#include "core/parallel.hh"
 #include "core/sim_context.hh"
 #include "cpu/core_model.hh"
 #include "cpu/server.hh"
@@ -60,23 +62,30 @@ struct WorldConfig
 class World
 {
   public:
+    /** A standalone world on a one-shard engine of its own. */
     explicit World(WorldConfig config = {});
 
     /**
      * Build this world as one shard of a larger deployment: every
-     * component schedules through @p ctx instead of the world's own
-     * Simulator (which stays dormant — don't drive `sim` here, drive
-     * the owning engine).
+     * component schedules through @p ctx, and @p ctx's engine drives
+     * this world together with its other shards.
      */
     World(WorldConfig config, SimContext ctx);
 
     World(const World &) = delete;
     World &operator=(const World &) = delete;
 
-    /** Drives standalone worlds; dormant when a shard context rules. */
-    Simulator sim;
+  private:
+    /**
+     * The standalone world's engine (null inside a WorldHandle).
+     * Declared before everything it drives, so callbacks still queued
+     * at teardown die after the App they point into.
+     */
+    std::unique_ptr<ParallelSimulator> engine_;
 
-    /** The scheduling context all of this world's components use. */
+  public:
+    /** The scheduling context all of this world's components use;
+     *  `ctx.run*()` drives the world. */
     SimContext ctx;
 
     cpu::Cluster cluster;
@@ -98,13 +107,8 @@ class World
     unsigned workers() const { return config_.workerServers; }
 
   private:
-    struct External
-    {
-        bool present = false;
-        SimContext ctx;
-    };
-
-    World(WorldConfig config, External ext);
+    /** Build the servers, network and App on `ctx`. */
+    void build();
 
     WorldConfig config_;
     cpu::Server *client_ = nullptr;

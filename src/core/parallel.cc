@@ -114,7 +114,7 @@ ParallelSimulator::deliverMail()
         Mailbox &box = *mail_[dst];
         if (!box.maybeNonEmpty)
             continue;
-        std::vector<Mail> msgs;
+        std::vector<Mail> &msgs = box.spare;
         {
             std::lock_guard<std::mutex> lock(box.mu);
             msgs.swap(box.msgs);
@@ -139,6 +139,7 @@ ParallelSimulator::deliverMail()
                              s.now, " (lookahead too small?)"));
             s.queue.schedule(m.when, std::move(m.cb));
         }
+        msgs.clear();
     }
 }
 
@@ -162,11 +163,30 @@ ParallelSimulator::addClockObserver(unsigned shard, Tick interval,
     if (interval == 0)
         panic("addClockObserver with zero interval");
     Shard &s = *shards_[shard];
+    // The first boundary is one interval in; boundaries already behind
+    // the clock would sample a world the observer never saw evolve.
     Tick first = interval;
     while (first <= s.now)
         first += interval;
     s.observers.push_back(ClockObserver{interval, first, std::move(fn)});
     s.nextBoundary = std::min(s.nextBoundary, first);
+}
+
+void
+ParallelSimulator::Shard::fireObservers(Tick limit)
+{
+    nextBoundary = kMaxTick;
+    for (ClockObserver &o : observers) {
+        while (o.next <= limit) {
+            o.fn(o.next);
+            if (o.next > kMaxTick - o.interval) {
+                o.next = kMaxTick; // saturate instead of wrapping
+                break;
+            }
+            o.next += o.interval;
+        }
+        nextBoundary = std::min(nextBoundary, o.next);
+    }
 }
 
 void
@@ -185,10 +205,8 @@ ParallelSimulator::runShard(Shard &s, Tick horizon)
         // contract), so all events < boundary have already executed —
         // the lazily-fired sample equals an eagerly-fired one. The
         // cached earliest boundary keeps the idle cost at one compare.
-        if (q.nextTick() >= s.nextBoundary) {
-            fireClockObservers(s.observers, q.nextTick());
-            s.nextBoundary = nextClockBoundary(s.observers);
-        }
+        if (q.nextTick() >= s.nextBoundary)
+            s.fireObservers(q.nextTick());
         q.runNext(s.now);
     }
 }
@@ -248,26 +266,23 @@ ParallelSimulator::runUntil(Tick deadline)
         if (deadline < s->now)
             panic(strCat("runUntil(", deadline, ") in the past; shard "
                          "clock now=", s->now));
+    // Events fire while strictly below the horizon, so the inclusive
+    // deadline needs horizon = deadline + 1; satAdd keeps both that and
+    // an "infinite" lookahead from wrapping (kMaxTick never fires).
+    const Tick end = satAdd(deadline, 1);
     while (true) {
         deliverMail();
         const Tick min_next = minNextTick();
-        if (min_next > deadline)
+        if (min_next >= end)
             break;
-        // Events fire while strictly below the horizon, so the
-        // inclusive deadline needs horizon = deadline + 1; satAdd
-        // keeps both that and an "infinite" lookahead from wrapping.
-        const Tick horizon = std::min(satAdd(deadline, 1),
-                                      satAdd(min_next, lookahead_));
-        runRound(horizon);
+        runRound(std::min(end, satAdd(min_next, lookahead_)));
     }
     for (auto &s : shards_) {
         s->now = deadline;
         // The window is fully executed on every shard: flush each
         // shard's boundaries it covers (driver thread, deterministic).
-        if (deadline >= s->nextBoundary) {
-            fireClockObservers(s->observers, deadline);
-            s->nextBoundary = nextClockBoundary(s->observers);
-        }
+        if (deadline >= s->nextBoundary)
+            s->fireObservers(deadline);
     }
 }
 
@@ -312,8 +327,8 @@ ParallelSimulator::shardDigest(unsigned shard) const
 std::uint64_t
 ParallelSimulator::executionDigest() const
 {
-    // One shard must stay bit-identical to the Simulator digest so a
-    // sharded world with --shards 1 proves the whole refactor inert.
+    // One shard is its queue's digest verbatim, which keeps the legacy
+    // single-queue digests (and their pins) valid.
     if (shards_.size() == 1)
         return shards_[0]->queue.executionDigest();
     // Commutative composition (wrapping sum of a per-shard mix): the
@@ -332,54 +347,43 @@ ParallelSimulator::executionDigest() const
 void
 SimContext::postToShard(unsigned dst, Tick delay, EventCallback cb)
 {
-    const Tick when = satAdd(now(), delay);
-    if (!engine_) {
-        if (dst != 0)
-            panic(strCat("postToShard(", dst, ") in a single-shard "
-                         "world"));
-        queue_->schedule(when, std::move(cb));
-        return;
-    }
-    engine_->postToShard(shard_, dst, when, std::move(cb));
+    engine_->postToShard(shard_, dst, satAdd(now(), delay), std::move(cb));
 }
 
 void
 SimContext::addClockObserver(Tick interval, ClockObserverFn fn)
 {
-    if (engine_)
-        engine_->addClockObserver(shard_, interval, std::move(fn));
-    else
-        sim_->addClockObserver(interval, std::move(fn));
+    engine_->addClockObserver(shard_, interval, std::move(fn));
 }
 
 unsigned
 SimContext::shardCount() const
 {
-    return engine_ ? engine_->shardCount() : 1;
+    return engine_->shardCount();
 }
 
 Tick
 SimContext::lookahead() const
 {
-    return engine_ ? engine_->lookahead() : kMaxTick;
+    return engine_->lookahead();
 }
 
 void
 SimContext::run()
 {
-    if (engine_)
-        engine_->run();
-    else
-        sim_->run();
+    engine_->run();
 }
 
 void
 SimContext::runUntil(Tick deadline)
 {
-    if (engine_)
-        engine_->runUntil(deadline);
-    else
-        sim_->runUntil(deadline);
+    engine_->runUntil(deadline);
+}
+
+void
+SimContext::runFor(Tick duration)
+{
+    engine_->runFor(duration);
 }
 
 void

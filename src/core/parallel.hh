@@ -24,8 +24,11 @@
  * simulation state, and mailbox merges are sorted. Per-shard FNV-1a
  * digests compose into a run digest that is order-sensitive within a
  * shard and order-insensitive (commutative) across shards; with one
- * shard the composed digest is bit-identical to the single-threaded
- * Simulator digest. See docs/PARALLEL.md.
+ * shard the composed digest is that shard's queue digest verbatim.
+ *
+ * This is the only engine: a single-shard world is a one-shard
+ * ParallelSimulator, which runs every event in one round (its
+ * lookahead is kMaxTick) on the driving thread. See docs/PARALLEL.md.
  */
 
 #ifndef UQSIM_CORE_PARALLEL_HH
@@ -94,15 +97,24 @@ class ParallelSimulator
     Tick now(unsigned shard) const;
 
     /**
-     * Register a periodic clock observer on @p shard (see
-     * ClockObserver in core/simulator.hh for semantics): it fires at
-     * every multiple of @p interval between that shard's events, never
-     * as an event, so digests are untouched. Within a round the
-     * callback for boundary B runs after every local event with
-     * time < B; the conservative protocol guarantees no later mail can
-     * land below B, so the lazily-fired sample is identical to one
-     * taken eagerly — and therefore worker-thread-count invariant.
-     * Register before driving the engine.
+     * Register a periodic clock observer on @p shard. It fires at every
+     * multiple of @p interval, starting one interval past the shard's
+     * clock, *between* that shard's events, never as one: when the
+     * callback for boundary B runs, every local event with time < B
+     * has executed and none with time >= B has, so it sees the shard
+     * exactly as of instant B. Because observers never enter a queue,
+     * a run with observers has the same digest as one without (the
+     * basis of the obs layer's digest guarantee). The conservative
+     * protocol guarantees no later mail can land below B, so the
+     * lazily-fired sample is identical to one taken eagerly, and
+     * therefore worker-thread-count invariant.
+     *
+     * Observers must not schedule events or mutate model state. Firing
+     * is lazy (a boundary with no event at or after it yet fires as
+     * soon as one appears, or at the runUntil() deadline) and
+     * deterministic: boundaries fire in registration order at equal
+     * ticks. Register before driving the engine; zero intervals are an
+     * internal error.
      */
     void addClockObserver(unsigned shard, Tick interval,
                           ClockObserverFn fn);
@@ -112,11 +124,15 @@ class ParallelSimulator
 
     /**
      * Run every shard up to @p deadline (events with time <= deadline
-     * fire), then set all shard clocks to @p deadline.
+     * fire), then set all shard clocks to @p deadline. An event at
+     * kMaxTick never fires.
      */
     void runUntil(Tick deadline);
 
-    /** Convenience wrapper: runUntil(max shard clock + duration). */
+    /**
+     * runUntil(latest shard clock + @p duration), the sum saturating
+     * at kMaxTick.
+     */
     void runFor(Tick duration);
 
     /** Total events executed across all shards. */
@@ -124,7 +140,7 @@ class ParallelSimulator
 
     /**
      * The composed run digest. One shard: that shard's FNV-1a digest
-     * verbatim (bit-identical to the Simulator path). N shards: a
+     * verbatim (the legacy single-queue digest). N shards: a
      * commutative mix of the per-shard digests, so the value is
      * independent of cross-shard execution interleaving — and thus of
      * the worker-thread count — while remaining order-sensitive within
@@ -138,6 +154,14 @@ class ParallelSimulator
   private:
     friend class SimContext;
 
+    /** A periodic clock observer (see addClockObserver). */
+    struct ClockObserver
+    {
+        Tick interval = 0;
+        Tick next = 0;
+        ClockObserverFn fn;
+    };
+
     /** One shard: queue + clock + outbound mail sequence. */
     struct Shard
     {
@@ -149,6 +173,13 @@ class ParallelSimulator
         std::vector<ClockObserver> observers;
         /** Earliest pending boundary (kMaxTick while none). */
         Tick nextBoundary = kMaxTick;
+
+        /**
+         * Fire every boundary <= @p limit (registration order) and
+         * recompute nextBoundary. Callers test nextBoundary first, so
+         * an idle observer costs one compare per event.
+         */
+        void fireObservers(Tick limit);
     };
 
     /** One buffered cross-shard event. */
@@ -165,6 +196,9 @@ class ParallelSimulator
     {
         std::mutex mu;
         std::vector<Mail> msgs;
+        /** The buffer delivered last round, emptied but kept for its
+         *  capacity: swapped in for msgs at the next delivery. */
+        std::vector<Mail> spare;
         /** Lock-free emptiness hint for the control loop. */
         bool maybeNonEmpty = false;
     };

@@ -4,37 +4,36 @@
  *
  * A SimContext names the execution shard a component belongs to and is
  * the only scheduling surface model code may use: components never
- * touch a Simulator or EventQueue directly. The handle is a cheap
- * value type over (event queue, clock, shard id, engine):
- *
- *  - In a single-shard world it wraps a plain Simulator; the implicit
- *    conversion from `Simulator &` keeps drivers (tests, benches,
- *    examples) that construct components with a Simulator compiling
- *    unchanged.
- *  - In a sharded world it is minted by ParallelSimulator::context(i)
- *    and schedules into shard i's own queue and clock. Cross-shard
- *    communication goes through postToShard(), which enforces the
- *    conservative lookahead and delivers through the engine's
- *    mailboxes at the next synchronization barrier.
+ * touch an EventQueue directly. The handle is a cheap value type over
+ * (event queue, clock, shard id, engine), minted by
+ * ParallelSimulator::context(i): it schedules into shard i's own queue
+ * and clock. There is one engine; a single-shard world is a one-shard
+ * ParallelSimulator, and a Simulator (core/simulator.hh) is one of
+ * those seen through its shard 0 context. Cross-shard communication
+ * goes through postToShard(), which enforces the conservative
+ * lookahead and delivers through the engine's mailboxes at the next
+ * synchronization barrier.
  *
  * Scheduling and clock reads are shard-local and wait-free; only
  * postToShard() to a *different* shard takes a (per-destination) lock.
- * See docs/PARALLEL.md for the migration guide from the old
- * `Simulator &` API.
+ * See docs/PARALLEL.md.
  */
 
 #ifndef UQSIM_CORE_SIM_CONTEXT_HH
 #define UQSIM_CORE_SIM_CONTEXT_HH
 
 #include <cstdint>
+#include <functional>
 
 #include "core/event_queue.hh"
-#include "core/simulator.hh"
 #include "core/types.hh"
 
 namespace uqsim {
 
 class ParallelSimulator;
+
+/** Callback observing the clock at one interval boundary. */
+using ClockObserverFn = std::function<void(Tick boundary)>;
 
 /**
  * Shard-addressed scheduling handle (see file comment).
@@ -44,11 +43,6 @@ class SimContext
   public:
     /** Null handle; must be rebound before use. */
     SimContext() = default;
-
-    /** Single-shard context over a plain Simulator (implicit). */
-    SimContext(Simulator &sim)
-        : queue_(&sim.queue_), now_(&sim.now_), sim_(&sim)
-    {}
 
     /** @return the current simulated time of this shard. */
     Tick now() const { return *now_; }
@@ -82,7 +76,7 @@ class SimContext
      * Schedule @p cb on shard @p dst, @p delay ticks from now.
      *
      * Same-shard posts degrade to schedule(). Cross-shard posts
-     * require a sharded world and `delay >= lookahead()` (the
+     * require `dst < shardCount()` and `delay >= lookahead()` (the
      * conservative synchronization window); violating either is an
      * internal error. Cross-shard events are buffered in the engine's
      * mailbox for @p dst and merged into its queue at the next barrier
@@ -94,25 +88,22 @@ class SimContext
     /** @return this component's shard id (0 in single-shard worlds). */
     unsigned shard() const { return shard_; }
 
-    /** @return the number of shards in the world (1 if unsharded). */
+    /** @return the number of shards in the world. */
     unsigned shardCount() const;
 
     /**
      * @return the conservative lookahead: the minimum cross-shard
-     * delay, i.e. the minimum inter-shard network latency. kMaxTick in
-     * single-shard worlds and in sharded worlds with no cross-shard
-     * channels.
+     * delay, i.e. the minimum inter-shard network latency. kMaxTick
+     * when the world has no cross-shard channels (always with one
+     * shard).
      */
     Tick lookahead() const;
-
-    /** @return true when this context belongs to a sharded world. */
-    bool sharded() const { return engine_ != nullptr; }
 
     /**
      * Register a periodic clock observer on this shard: @p fn fires at
      * every multiple of @p interval of this shard's clock, between
      * events rather than as one, so the execution digest is untouched
-     * (see ClockObserver in core/simulator.hh). The observer must be
+     * (see ParallelSimulator::addClockObserver). The observer must be
      * read-only over model state and must outlive all driving of the
      * world; there is no unregistration. Register before running.
      */
@@ -129,8 +120,9 @@ class SimContext
     /** Run the whole world up to @p deadline (clocks end there). */
     void runUntil(Tick deadline);
 
-    /** Convenience wrapper: runUntil(now() + duration). */
-    void runFor(Tick duration) { runUntil(*now_ + duration); }
+    /** Run the whole world for @p duration past its latest shard
+     *  clock (ParallelSimulator::runFor). */
+    void runFor(Tick duration);
 
     // -- Shard-local observability ------------------------------------
 
@@ -164,9 +156,6 @@ class SimContext
     EventQueue *queue_ = nullptr;
     const Tick *now_ = nullptr;
     unsigned shard_ = 0;
-    /** Non-null in single-shard worlds (drives run*()). */
-    Simulator *sim_ = nullptr;
-    /** Non-null in sharded worlds. */
     ParallelSimulator *engine_ = nullptr;
 };
 

@@ -19,7 +19,7 @@
 
 #include <vector>
 
-#include "core/simulator.hh"
+#include "core/sim_context.hh"
 #include "core/types.hh"
 #include "cpu/server.hh"
 

@@ -12,8 +12,9 @@
  * sketches into an IntervalSample per tier plus one for the
  * end-to-end stream, and feeds the SLO monitor.
  *
- * Everything runs *between* events (see ClockObserver): the pipeline
- * never schedules, never mutates model state, and therefore leaves
+ * Everything runs *between* events (see
+ * ParallelSimulator::addClockObserver): the pipeline never schedules,
+ * never mutates model state, and therefore leaves
  * the execution digest bit-identical whether it is attached or not —
  * a stronger guarantee than the usual "disabled == inert" opt-in
  * contract. Sampling is a pure function of shard-local state at each

@@ -59,7 +59,7 @@ std::string toPerfettoJson(const TraceStore &store,
 
 /**
  * Render a whole run as one JSON object: the simulator's execution
- * digest (see Simulator::executionDigest()) plus the span array. The
+ * digest (see ParallelSimulator::executionDigest()) plus the span array. The
  * digest field lets an exported trace assert which exact event
  * sequence produced it, so archived traces are re-checkable.
  */

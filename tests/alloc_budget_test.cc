@@ -8,14 +8,18 @@
  * measured second allocates at most kBudget times per injected
  * request. The request path runs on pooled frames, inline callbacks
  * and pooled event nodes; what is left per request is the Request
- * object itself and the amortized growth of queues and pools.
+ * object itself and the amortized growth of queues and pools. A second
+ * case bounces one event between two shards and checks that, once the
+ * mailboxes have grown, a round of cross-shard mail allocates nothing.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 
 #include "apps/social_network.hh"
+#include "core/parallel.hh"
 #include "counting_new.hh"
 #include "workload/generators.hh"
 
@@ -36,11 +40,11 @@ TEST(AllocBudgetTest, SocialNetworkRequestPathStaysWithinBudget)
         workload::UserPopulation::uniform(1000), 43);
     gen.setQps(3000.0);
     gen.start();
-    w.sim.runFor(kTicksPerSec / 2); // pools and queues grow here
+    w.ctx.runFor(kTicksPerSec / 2); // pools and queues grow here
 
     const std::uint64_t allocs0 = countedAllocations();
     const std::uint64_t injected0 = w.app->injected();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     const std::uint64_t allocs = countedAllocations() - allocs0;
     const std::uint64_t injected = w.app->injected() - injected0;
     gen.stop();
@@ -52,6 +56,40 @@ TEST(AllocBudgetTest, SocialNetworkRequestPathStaysWithinBudget)
                 static_cast<unsigned long long>(allocs),
                 static_cast<unsigned long long>(injected), per_request);
     EXPECT_LE(per_request, kBudget);
+}
+
+/** One event bounced between two shards: every hop is one round. */
+struct PingPong
+{
+    static constexpr Tick kLookahead = 10;
+
+    ParallelSimulator par{{2, kLookahead, 1}};
+    std::array<SimContext, 2> ctx{par.context(0), par.context(1)};
+    std::uint64_t hops = 0;
+
+    void
+    bounce(unsigned shard)
+    {
+        ++hops;
+        const unsigned peer = 1 - shard;
+        ctx[shard].postToShard(peer, kLookahead,
+                               [this, peer]() { bounce(peer); });
+    }
+};
+
+TEST(AllocBudgetTest, CrossShardMailAllocatesNothingAfterWarmUp)
+{
+    PingPong p;
+    p.ctx[0].schedule(0, [&p]() { p.bounce(0); });
+    p.par.runUntil(1000); // mailboxes and the event pools grow here
+
+    const std::uint64_t hops0 = p.hops;
+    const std::uint64_t allocs0 = countedAllocations();
+    p.par.runUntil(31000);
+    const std::uint64_t allocs = countedAllocations() - allocs0;
+
+    ASSERT_GE(p.hops - hops0, 3000u);
+    EXPECT_EQ(allocs, 0u);
 }
 
 } // namespace

@@ -68,7 +68,7 @@ TEST_F(AppTest, SingleRequestCompletes)
         done = true;
         result = r;
     });
-    world_.sim.run();
+    world_.ctx.run();
     ASSERT_TRUE(done);
     EXPECT_FALSE(result.dropped);
     EXPECT_GT(result.latency(), 0u);
@@ -83,7 +83,7 @@ TEST_F(AppTest, LatencyContainsComputeAndWire)
     buildChain();
     Tick latency = 0;
     world_.app->inject(0, 7, [&](const Request &r) { latency = r.latency(); });
-    world_.sim.run();
+    world_.ctx.run();
     // At least the three compute stages plus 6 wire crossings.
     EXPECT_GT(latency, 150 * kTicksPerUs);
     EXPECT_LT(latency, 5 * kTicksPerMs); // sane upper bound unloaded
@@ -94,7 +94,7 @@ TEST_F(AppTest, AccountingPartsDoNotExceedLatency)
     buildChain();
     Request out;
     world_.app->inject(0, 7, [&](const Request &r) { out = r; });
-    world_.sim.run();
+    world_.ctx.run();
     // Sequential chain: work components must fit inside the wall time.
     EXPECT_LE(out.appTime, out.latency());
     EXPECT_LE(out.networkTime + out.appTime + out.wireTime + out.queueTime,
@@ -105,7 +105,7 @@ TEST_F(AppTest, SpansFormCompleteTree)
 {
     buildChain();
     world_.app->inject(0, 7);
-    world_.sim.run();
+    world_.ctx.run();
     const auto &store = world_.app->traceStore();
     ASSERT_EQ(store.size(), 4u); // client root + 3 services
     const auto spans = store.byTrace(store.spans()[0].traceId);
@@ -131,7 +131,7 @@ TEST_F(AppTest, SpanNestingRespectsCallOrder)
 {
     buildChain();
     world_.app->inject(0, 7);
-    world_.sim.run();
+    world_.ctx.run();
     const auto &store = world_.app->traceStore();
     trace::Span front, mid, leaf;
     for (const auto &s : store.spans()) {
@@ -164,7 +164,7 @@ TEST_F(AppTest, TracingOffKeepsStoreEmpty)
     w2.app->setEntry("front");
     w2.app->addQueryType({"q", 1.0, 1.0, 0, {}});
     w2.app->inject(0, 1);
-    w2.sim.run();
+    w2.ctx.run();
     EXPECT_EQ(w2.app->traceStore().size(), 0u);
     EXPECT_EQ(w2.app->completed(), 1u);
 }
@@ -189,10 +189,10 @@ TEST_F(AppTest, TaggedStagesOnlyRunForMatchingQueries)
     app.validate();
 
     app.inject(plain, 1);
-    world_.sim.run();
+    world_.ctx.run();
     EXPECT_EQ(app.service("extra").instances()[0]->served(), 0u);
     app.inject(special, 1);
-    world_.sim.run();
+    world_.ctx.run();
     EXPECT_EQ(app.service("extra").instances()[0]->served(), 1u);
 }
 
@@ -210,9 +210,9 @@ TEST_F(AppTest, ComputeScaleStretchesLatency)
 
     Tick lat_small = 0, lat_big = 0;
     app.inject(small, 1, [&](const Request &r) { lat_small = r.latency(); });
-    world_.sim.run();
+    world_.ctx.run();
     app.inject(big, 1, [&](const Request &r) { lat_big = r.latency(); });
-    world_.sim.run();
+    world_.ctx.run();
     EXPECT_GT(lat_big, 2 * lat_small);
 }
 
@@ -241,7 +241,7 @@ TEST_F(AppTest, CacheMissesHitDatabase)
     const int n = 2000;
     for (int i = 0; i < n; ++i)
         app.inject(0, static_cast<std::uint64_t>(i));
-    world_.sim.run();
+    world_.ctx.run();
     const auto cache_served =
         app.service("cache").instances()[0]->served();
     const auto db_served = app.service("db").instances()[0]->served();
@@ -268,7 +268,7 @@ TEST_F(AppTest, ProbabilisticStageFrequency)
     const int n = 3000;
     for (int i = 0; i < n; ++i)
         app.inject(0, 1);
-    world_.sim.run();
+    world_.ctx.run();
     const double frac =
         static_cast<double>(app.service("maybe").instances()[0]->served()) /
         n;
@@ -289,7 +289,7 @@ TEST_F(AppTest, QueueOverflowDropsRequests)
     app.validate();
     for (int i = 0; i < 50; ++i)
         app.inject(0, 1);
-    world_.sim.run();
+    world_.ctx.run();
     EXPECT_GT(app.droppedRequests(), 0u);
     EXPECT_EQ(app.droppedRequests() + app.completed(), 50u);
     EXPECT_GT(app.service("front").totalDropped(), 0u);
@@ -322,9 +322,9 @@ TEST_F(AppTest, ParallelFanoutFasterThanSequential)
 
     Tick lat_par = 0, lat_seq = 0;
     app.inject(qpar, 1, [&](const Request &r) { lat_par = r.latency(); });
-    world_.sim.run();
+    world_.ctx.run();
     app.inject(qseq, 1, [&](const Request &r) { lat_seq = r.latency(); });
-    world_.sim.run();
+    world_.ctx.run();
     EXPECT_LT(lat_par, lat_seq);
     EXPECT_GT(lat_seq, 2 * lat_par / 2); // sanity
     EXPECT_LT(lat_par * 2, lat_seq);     // ~4x vs ~1x leaf time
@@ -350,7 +350,7 @@ TEST_F(AppTest, MediaPayloadOnlyOnFlaggedEdges)
     app.validate();
 
     app.inject(0, 1);
-    world_.sim.run();
+    world_.ctx.run();
     // 4MiB at 10Gbps is ~3.3ms of serialization on the media edge; the
     // plain edge must stay microseconds. Compare span network shares.
     const auto &store = app.traceStore();
@@ -374,12 +374,12 @@ TEST_F(AppTest, FpgaOffloadCutsNetworkTime)
     buildChain();
     Request native;
     world_.app->inject(0, 7, [&](const Request &r) { native = r; });
-    world_.sim.run();
+    world_.ctx.run();
 
     world_.app->setFpga(net::FpgaOffloadModel::on());
     Request offloaded;
     world_.app->inject(0, 7, [&](const Request &r) { offloaded = r; });
-    world_.sim.run();
+    world_.ctx.run();
     // Kernel TCP work disappears; Thrift marshalling stays on the
     // host, so the reduction is large but bounded.
     EXPECT_LT(offloaded.networkTime, native.networkTime / 2);
@@ -390,7 +390,7 @@ TEST_F(AppTest, StatResetClearsMeasurements)
 {
     buildChain();
     world_.app->inject(0, 1);
-    world_.sim.run();
+    world_.ctx.run();
     EXPECT_EQ(world_.app->completed(), 1u);
     world_.app->statReset();
     EXPECT_EQ(world_.app->completed(), 0u);

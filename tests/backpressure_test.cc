@@ -65,7 +65,7 @@ TEST(BackpressureTest, SlowCalleeParksCallerThreads)
         workload::UserPopulation::uniform(100), 1);
     gen.setQps(2500.0);
     gen.start();
-    t.world.sim.runFor(2 * kTicksPerSec);
+    t.world.ctx.runFor(2 * kTicksPerSec);
 
     Microservice &nginx = t.world.app->service("nginx");
     Microservice &mc = t.world.app->service("memcached");
@@ -75,7 +75,7 @@ TEST(BackpressureTest, SlowCalleeParksCallerThreads)
     const double nginx_cpu =
         static_cast<double>(
             nginx.instances()[0]->cpuBusyTime()) /
-        static_cast<double>(t.world.sim.now());
+        static_cast<double>(t.world.ctx.now());
     EXPECT_LT(nginx_cpu, 0.2 * nginx.def().threadsPerInstance);
     // memcached itself is NOT thread-saturated: the connection limit
     // throttles it below its own capacity.
@@ -92,7 +92,7 @@ TEST(BackpressureTest, NonBlockingProtocolAvoidsThreadParking)
             workload::UserPopulation::uniform(100), 1);
         gen.setQps(2000.0);
         gen.start();
-        t->world.sim.runFor(2 * kTicksPerSec);
+        t->world.ctx.runFor(2 * kTicksPerSec);
     }
     // With multiplexed RPC, nginx threads wait on actual service time
     // only; occupancy stays lower than in the blocked configuration.
@@ -108,7 +108,7 @@ TEST(BackpressureTest, HealthyBackendKeepsLatencyFlat)
         workload::UserPopulation::uniform(100), 1);
     gen.setQps(800.0);
     gen.start();
-    t.world.sim.runFor(2 * kTicksPerSec);
+    t.world.ctx.runFor(2 * kTicksPerSec);
     EXPECT_LT(t.world.app->endToEndLatency().p99(), 2 * kTicksPerMs);
     EXPECT_LT(t.world.app->service("nginx").meanOccupancy(), 0.3);
 }
@@ -121,7 +121,7 @@ TEST(BackpressureTest, PoolWaitersAccumulateUnderOverload)
         workload::UserPopulation::uniform(100), 1);
     gen.setQps(3000.0);
     gen.start();
-    t.world.sim.runFor(kTicksPerSec);
+    t.world.ctx.runFor(kTicksPerSec);
     // End-to-end tail blows up (Fig 17B's latency explosion).
     EXPECT_GT(t.world.app->endToEndLatency().p99(), 10 * kTicksPerMs);
 }

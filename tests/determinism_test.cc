@@ -49,8 +49,8 @@ runSocialNetwork(std::uint64_t seed, bool tracing = true,
                       workload::QueryMix::fromApp(*w.app),
                       workload::UserPopulation::uniform(100), seed);
     RunArtifacts a;
-    a.digest = w.sim.executionDigest();
-    a.executed = w.sim.eventsExecuted();
+    a.digest = w.ctx.executionDigest();
+    a.executed = w.ctx.eventsExecuted();
     a.traceJson = trace::toZipkinJson(w.app->traceStore());
     a.runJson = trace::toRunJson(w.app->traceStore(), a.digest);
     return a;

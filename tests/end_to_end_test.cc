@@ -212,7 +212,7 @@ TEST(IntegrationTest, DrainedRunHoldsNoRequestState)
     workload::runLoad(*w.app, 100.0, kTicksPerSec / 2, kTicksPerSec,
                       workload::QueryMix::fromApp(*w.app),
                       workload::UserPopulation::uniform(100), 17);
-    w.sim.run(); // drain every pending event
+    w.ctx.run(); // drain every pending event
     EXPECT_GT(w.app->completed(), 50u);
     EXPECT_EQ(w.app->liveHandlerContexts(), 0);
     EXPECT_EQ(w.app->liveRequests(), 0);
@@ -236,7 +236,7 @@ TEST(IntegrationTest, DrainedRunWithRetriesHoldsNoRequestState)
     workload::runLoad(*w.app, 100.0, kTicksPerSec / 2, kTicksPerSec,
                       workload::QueryMix::fromApp(*w.app),
                       workload::UserPopulation::uniform(100), 17);
-    w.sim.run(); // drain every pending event
+    w.ctx.run(); // drain every pending event
     EXPECT_GT(w.app->completed(), 50u);
     EXPECT_GT(w.app->metrics().counter("rpc.timeouts").value(), 0u);
     EXPECT_GT(w.app->metrics().counter("rpc.retries").value(), 0u);

@@ -235,19 +235,19 @@ TEST(SocialQueriesTest, NewQueryClassesExerciseTheRightTiers)
 
     // Direct messages write straight into a timeline inbox.
     app.inject(q.directMessage, 7);
-    w.sim.run();
+    w.ctx.run();
     EXPECT_EQ(servedOf("writeTimeline"), 1u);
     EXPECT_EQ(servedOf("composePost"), 0u);
 
     // Blocking a user touches blockedUsers and the social graph.
     app.inject(q.blockUser, 7);
-    w.sim.run();
+    w.ctx.run();
     EXPECT_GE(servedOf("blockedUsers"), 1u);
     EXPECT_GE(servedOf("writeGraph"), 1u);
 
     // A reply reads the post then composes.
     app.inject(q.reply, 7);
-    w.sim.run();
+    w.ctx.run();
     EXPECT_GE(servedOf("readPost"), 1u);
     EXPECT_EQ(servedOf("composePost"), 1u);
 }

@@ -140,7 +140,7 @@ TEST(TcpAccountingTest, TcpProcTimeIsPartOfNetworkTime)
 
     service::Request out;
     app.inject(0, 1, [&](const service::Request &r) { out = r; });
-    w.sim.run();
+    w.ctx.run();
     EXPECT_GT(out.tcpProcTime, 0u);
     EXPECT_LE(out.tcpProcTime, out.networkTime);
 }
@@ -163,7 +163,7 @@ TEST(TcpAccountingTest, FpgaShrinksTcpTimeSpecifically)
         app.validate();
         service::Request out;
         app.inject(0, 1, [&](const service::Request &r) { out = r; });
-        w.sim.run();
+        w.ctx.run();
         return out;
     };
     const auto native = measure(false);
@@ -194,7 +194,7 @@ TEST(SlowServerTest, SlowFactorStretchesOnlyAffectedInstances)
         app.inject(0, 1, [&](const service::Request &r) {
             latencies.push_back(r.latency());
         });
-        w.sim.run();
+        w.ctx.run();
     }
     ASSERT_EQ(latencies.size(), 8u);
     std::sort(latencies.begin(), latencies.end());

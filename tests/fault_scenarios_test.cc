@@ -99,7 +99,7 @@ class FaultScenarioTest : public ::testing::Test
     {
         const Tick interval = static_cast<Tick>(kTicksPerSec / qps);
         for (Tick t = interval; t < duration; t += interval)
-            world_->sim.scheduleAt(t, [this, &out, t]() {
+            world_->ctx.scheduleAt(t, [this, &out, t]() {
                 world_->app->inject(
                     0, t / kTicksPerMs, [&out](const Request &r) {
                         out.push_back({r.completeTime,
@@ -152,14 +152,14 @@ TEST_F(FaultScenarioTest, CrashFailsInFlightAndRestartRecovers)
 
     // In flight when the crash fires at t=5ms (handler runs 10ms).
     Request victim, survivor;
-    world_->sim.scheduleAt(1 * kTicksPerMs, [&]() {
+    world_->ctx.scheduleAt(1 * kTicksPerMs, [&]() {
         world_->app->inject(0, 1, [&](const Request &r) { victim = r; });
     });
     // Injected after the restart at t=25ms; must complete normally.
-    world_->sim.scheduleAt(30 * kTicksPerMs, [&]() {
+    world_->ctx.scheduleAt(30 * kTicksPerMs, [&]() {
         world_->app->inject(0, 2, [&](const Request &r) { survivor = r; });
     });
-    world_->sim.run();
+    world_->ctx.run();
 
     EXPECT_EQ(victim.failStatus,
               static_cast<std::uint8_t>(trace::SpanStatus::Crashed));
@@ -187,7 +187,7 @@ TEST_F(FaultScenarioTest, RequestsDuringOutageFailWithoutWedgingTheApp)
 
     std::vector<Outcome> outcomes;
     openLoop(/*qps=*/200.0, /*duration=*/500 * kTicksPerMs, outcomes);
-    world_->sim.run();
+    world_->ctx.run();
 
     // Every injection resolved: nothing hangs on a dead instance.
     ASSERT_EQ(outcomes.size(), 99u);
@@ -226,7 +226,7 @@ TEST_F(FaultScenarioTest, ErrorWindowFailsRequestsAndMonitorSeesIt)
 
     std::vector<Outcome> outcomes;
     openLoop(/*qps=*/500.0, /*duration=*/250 * kTicksPerMs, outcomes);
-    world_->sim.run();
+    world_->ctx.run();
 
     unsigned in_window_fail = 0, outside_fail = 0;
     for (const Outcome &o : outcomes) {
@@ -277,7 +277,7 @@ TEST_F(FaultScenarioTest, RetriesMaskTransientErrors)
         inj.arm();
         std::vector<Outcome> outcomes;
         openLoop(/*qps=*/1000.0, /*duration=*/800 * kTicksPerMs, outcomes);
-        world_->sim.run();
+        world_->ctx.run();
         unsigned failed = 0;
         for (const Outcome &o : outcomes)
             failed += o.ok ? 0 : 1;
@@ -313,7 +313,7 @@ TEST_F(FaultScenarioTest, PartitionTimesOutCallsAndHeals)
 
     std::vector<Outcome> outcomes;
     openLoop(/*qps=*/200.0, /*duration=*/300 * kTicksPerMs, outcomes);
-    world_->sim.run();
+    world_->ctx.run();
 
     ASSERT_EQ(outcomes.size(), 59u);
     unsigned timed_out = 0, late_ok = 0;
@@ -342,7 +342,7 @@ TEST_F(FaultScenarioTest, ShedRefusesArrivalsAboveQueueDepth)
     // 10 arrivals within 1ms: one in service, three queued, the rest
     // refused with a retryable shed error instead of a silent drop.
     for (int i = 0; i < 10; ++i)
-        world_->sim.scheduleAt(100 * kTicksPerUs * (i + 1), [this,
+        world_->ctx.scheduleAt(100 * kTicksPerUs * (i + 1), [this,
                                                             &outcomes]() {
             world_->app->inject(0, 1, [&outcomes](const Request &r) {
                 outcomes.push_back({r.completeTime,
@@ -350,7 +350,7 @@ TEST_F(FaultScenarioTest, ShedRefusesArrivalsAboveQueueDepth)
                                     r.failStatus, r.retries});
             });
         });
-    world_->sim.run();
+    world_->ctx.run();
 
     ASSERT_EQ(outcomes.size(), 10u);
     unsigned ok = 0, shed = 0;
@@ -395,8 +395,8 @@ TEST_F(FaultScenarioTest, FaultScheduleIsDeterministic)
         inj.arm();
         std::vector<Outcome> outcomes;
         openLoop(/*qps=*/400.0, /*duration=*/200 * kTicksPerMs, outcomes);
-        world_->sim.run();
-        return world_->sim.executionDigest();
+        world_->ctx.run();
+        return world_->ctx.executionDigest();
     };
 
     const std::uint64_t a = run(7);
@@ -418,8 +418,8 @@ TEST_F(FaultScenarioTest, ArmedEmptyScheduleKeepsLegacyDigest)
         }
         std::vector<Outcome> outcomes;
         openLoop(/*qps=*/400.0, /*duration=*/100 * kTicksPerMs, outcomes);
-        world_->sim.run();
-        return world_->sim.executionDigest();
+        world_->ctx.run();
+        return world_->ctx.executionDigest();
     };
 
     EXPECT_EQ(run(false), run(true));
@@ -476,7 +476,7 @@ TEST_F(FaultScenarioTest, RetryStormPersistsAndBudgetCuresIt)
         inj.arm();
         std::vector<Outcome> outcomes;
         openLoop(/*qps=*/1200.0, horizon, outcomes);
-        world_->sim.run();
+        world_->ctx.run();
         return goodputWindows(outcomes, window, horizon);
     };
 

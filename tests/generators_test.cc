@@ -63,7 +63,7 @@ TEST(OpenLoopTest, GeneratesApproximatelyTargetRate)
                           UserPopulation::uniform(10), 3);
     gen.setQps(500.0);
     gen.start();
-    w.sim.runFor(4 * kTicksPerSec);
+    w.ctx.runFor(4 * kTicksPerSec);
     gen.stop();
     EXPECT_NEAR(static_cast<double>(gen.generated()), 2000.0, 150.0);
     EXPECT_NEAR(static_cast<double>(w.app->injected()), 2000.0, 150.0);
@@ -77,10 +77,10 @@ TEST(OpenLoopTest, StopHaltsInjection)
                           UserPopulation::uniform(10), 3);
     gen.setQps(1000.0);
     gen.start();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     gen.stop();
     const auto count = gen.generated();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     EXPECT_EQ(gen.generated(), count);
 }
 
@@ -95,9 +95,9 @@ TEST(OpenLoopTest, RateShapeModulatesArrivals)
         return t < kTicksPerSec ? 0.1 : 1.0; // quiet first second
     });
     gen.start();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     const auto quiet = gen.generated();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     const auto busy = gen.generated() - quiet;
     EXPECT_GT(busy, 5 * quiet);
 }
@@ -110,7 +110,7 @@ TEST(ClosedLoopTest, ConcurrencyBoundsInFlight)
                             UserPopulation::uniform(10), 8,
                             Dist::constant(1000000.0), 3);
     gen.start();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     gen.stop();
     // Each user cycles roughly every (latency + 1ms think).
     EXPECT_GT(gen.generated(), 1000u);

@@ -56,7 +56,7 @@ TEST(AutoScalerTest, ScalesOutUnderSaturation)
                                     3);
     gen.setQps(6000.0);
     gen.start();
-    w.sim.runFor(5 * kTicksPerSec);
+    w.ctx.runFor(5 * kTicksPerSec);
     EXPECT_GT(scaler.events().size(), 0u);
     EXPECT_GT(w.app->service("front").instances().size(), 1u);
     // New instances eventually become active.
@@ -71,7 +71,7 @@ TEST(AutoScalerTest, NoScalingWhenIdle)
                       [&]() -> cpu::Server & { return w.nextWorker(); });
     scaler.watch("front");
     scaler.start();
-    w.sim.runFor(3 * kTicksPerSec);
+    w.ctx.runFor(3 * kTicksPerSec);
     EXPECT_EQ(scaler.events().size(), 0u);
 }
 
@@ -93,7 +93,7 @@ TEST(AutoScalerTest, CooldownLimitsRate)
                                     3);
     gen.setQps(8000.0);
     gen.start();
-    w.sim.runFor(4 * kTicksPerSec);
+    w.ctx.runFor(4 * kTicksPerSec);
     EXPECT_LE(scaler.events().size(), 2u); // 4s / 2s cooldown
 }
 
@@ -137,7 +137,7 @@ TEST(AutoScalerTest, ScaleBudgetLimitsPerRound)
                                     3);
     gen.setQps(8000.0);
     gen.start();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     // >= 2 rounds happened; with budget 1 no two events share a tick.
     const auto &events = scaler.events();
     ASSERT_GE(events.size(), 2u);
@@ -163,17 +163,17 @@ TEST(AutoScalerTest, DecisionsReadTheCurrentOccupancy)
     scaler.watch("front");
     const service::Microservice &front = w.app->service("front");
     std::map<Tick, double> occupancy;
-    w.sim.addClockObserver(cfg.interval, [&](Tick boundary) {
+    w.ctx.addClockObserver(cfg.interval, [&](Tick boundary) {
         occupancy[boundary] = front.meanOccupancy();
     });
-    w.sim.schedule(200 * kTicksPerMs, [&scaler] { scaler.start(); });
+    w.ctx.schedule(200 * kTicksPerMs, [&scaler] { scaler.start(); });
 
     workload::OpenLoopGenerator gen(*w.app, workload::QueryMix({1.0}),
                                     workload::UserPopulation::uniform(10),
                                     3);
     gen.setQps(6000.0);
     gen.start();
-    w.sim.runFor(3 * kTicksPerSec);
+    w.ctx.runFor(3 * kTicksPerSec);
 
     ASSERT_GE(scaler.events().size(), 3u);
     for (const ScaleEvent &e : scaler.events()) {

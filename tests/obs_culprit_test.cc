@@ -257,12 +257,12 @@ TEST(CulpritRegressionTest, InjectedBackendBottleneckRanksFirst)
         workload::UserPopulation::uniform(100), 1);
     gen.setQps(300.0);
     gen.start();
-    t.world.sim.schedule(secToTicks(5.0), [&] {
+    t.world.ctx.schedule(secToTicks(5.0), [&] {
         const unsigned id =
             app.service("backend").instances()[0]->server().id();
         t.world.cluster.server(id).setSlowFactor(30.0);
     });
-    t.world.sim.runUntil(secToTicks(12.0));
+    t.world.ctx.runUntil(secToTicks(12.0));
 
     ASSERT_TRUE(pipe.slo().violated());
     const SloViolation &v = pipe.slo().violations().front();
@@ -307,11 +307,11 @@ TEST(CulpritRegressionTest, SocialNetworkHotspotLocalizesToHotServer)
     gen.setQps(1400.0);
     gen.start();
 
-    w.sim.runUntil(secToTicks(15.0));
+    w.ctx.runUntil(secToTicks(15.0));
     const unsigned hot_server =
         app.service("posts-db").instances()[0]->server().id();
     w.cluster.server(hot_server).setSlowFactor(14.0);
-    w.sim.runUntil(secToTicks(30.0));
+    w.ctx.runUntil(secToTicks(30.0));
 
     ASSERT_TRUE(pipe.slo().violated());
     EXPECT_GE(pipe.slo().violations().front().onset,

@@ -222,7 +222,7 @@ TEST(ObsIntegrationTest, IntervalPercentilesTrackExactWithinBound)
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(800.0);
     gen.start();
-    w.sim.runUntil(2 * kTicksPerSec);
+    w.ctx.runUntil(2 * kTicksPerSec);
 
     const obs::Series *e2e = pipe.store().find(obs::kEndToEndSeries);
     ASSERT_NE(e2e, nullptr);
@@ -292,7 +292,7 @@ TEST(ObsIntegrationTest, PerfettoExportGainsCounterTracks)
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(300.0);
     gen.start();
-    w.sim.runUntil(kTicksPerSec);
+    w.ctx.runUntil(kTicksPerSec);
 
     const std::string frag = obs::perfettoCounterEvents(pipe.store());
     ASSERT_FALSE(frag.empty());
@@ -389,7 +389,7 @@ TEST(ObsIntegrationTest, MonitorPublishesInFlightGauge)
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(1000.0);
     gen.start();
-    w.sim.runUntil(kTicksPerSec);
+    w.ctx.runUntil(kTicksPerSec);
 
     // The backend holds requests at every boundary; the frontend's are
     // parked on it, so it shows them in flight too.

@@ -288,9 +288,9 @@ TEST(PipelineTest, SamplesEveryTierPlusEndToEnd)
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(400.0);
     gen.start();
-    t.world.sim.runUntil(kTicksPerSec);
+    t.world.ctx.runUntil(kTicksPerSec);
     gen.stop();
-    t.world.sim.runUntil(kTicksPerSec + 100 * kTicksPerMs);
+    t.world.ctx.runUntil(kTicksPerSec + 100 * kTicksPerMs);
 
     const std::vector<std::string> expect = {"backend", "e2e",
                                              "frontend"};
@@ -336,8 +336,8 @@ TEST(PipelineTest, AttachingThePipelineKeepsTheDigest)
             workload::UserPopulation::uniform(50), 1);
         gen.setQps(300.0);
         gen.start();
-        t.world.sim.runUntil(kTicksPerSec);
-        return t.world.sim.executionDigest();
+        t.world.ctx.runUntil(kTicksPerSec);
+        return t.world.ctx.executionDigest();
     };
     EXPECT_EQ(run(false), run(true))
         << "sampling must never perturb the simulated world";

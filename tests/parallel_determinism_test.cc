@@ -22,6 +22,7 @@
 #include "apps/scenario.hh"
 #include "apps/social_network.hh"
 #include "core/rng.hh"
+#include "core/simulator.hh"
 #include "workload/load_sweep.hh"
 
 namespace uqsim {
@@ -80,8 +81,8 @@ TEST(ParallelDeterminismTest, SocialNetworkThreadCountInvariant)
 
 TEST(ParallelDeterminismTest, OneShardMatchesStandaloneWorld)
 {
-    // The classic single-Simulator path, exactly as determinism_test
-    // drives it.
+    // A standalone World on its own one-shard engine, exactly as
+    // determinism_test drives it.
     apps::WorldConfig c;
     c.workerServers = 5;
     c.seed = 42;
@@ -94,8 +95,8 @@ TEST(ParallelDeterminismTest, OneShardMatchesStandaloneWorld)
 
     const ShardedRun sharded =
         runSharded("social-network", 1, 1, 42, 200.0);
-    EXPECT_EQ(sharded.digest, standalone.sim.executionDigest());
-    EXPECT_EQ(sharded.events, standalone.sim.eventsExecuted());
+    EXPECT_EQ(sharded.digest, standalone.ctx.executionDigest());
+    EXPECT_EQ(sharded.events, standalone.ctx.eventsExecuted());
 }
 
 TEST(ParallelDeterminismTest, DifferentSeedsDifferentDigests)

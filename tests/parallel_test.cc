@@ -3,7 +3,7 @@
  * ParallelSimulator / SimContext engine tests.
  *
  * The sharded core's contract, exercised without any model on top:
- * a one-shard engine is bit-identical to the plain Simulator; digests
+ * a Simulator matches a bare one-shard engine; digests
  * at a fixed shard count never depend on the worker-thread count;
  * cross-shard mail merges in deterministic (when, src, seq) order; and
  * the conservative-lookahead and past-scheduling invariants die loudly
@@ -167,6 +167,25 @@ TEST(ParallelTest, RunUntilAdvancesIdleShardClocks)
     EXPECT_EQ(par.now(1), 100u);
 }
 
+TEST(ParallelTest, ContextRunForStartsFromTheLatestShardClock)
+{
+    ParallelSimulator par({2, kMaxTick, 1});
+    SimContext a = par.context(0);
+    a.schedule(5, []() {});
+    par.context(1).schedule(500, []() {});
+    par.run(); // run() leaves each clock at its last event
+    ASSERT_EQ(par.now(0), 5u);
+    ASSERT_EQ(par.now(1), 500u);
+
+    // Shard 0's context drives the whole world, from its latest clock.
+    bool fired = false;
+    a.scheduleAt(550, [&fired]() { fired = true; });
+    a.runFor(100);
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(par.now(0), 600u);
+    EXPECT_EQ(par.now(1), 600u);
+}
+
 TEST(ParallelTest, EventHandleCancelIsIdempotentAcrossShards)
 {
     ParallelSimulator par({2, /*lookahead=*/10, 1});
@@ -228,10 +247,11 @@ TEST(ParallelDeathTest, ScheduleAtInThePastReportsTicks)
 
 TEST(ParallelDeathTest, SimulatorScheduleAtInThePastReportsTicks)
 {
+    // A Simulator is shard 0 of a one-shard engine: one message.
     Simulator sim;
     sim.schedule(10, [&sim]() { sim.scheduleAt(4, []() {}); });
     EXPECT_DEATH(sim.run(), "scheduleAt\\(when=4\\) is 6 ticks in the "
-                            "past \\(now=10\\)");
+                            "past \\(now=10, shard 0\\)");
 }
 
 TEST(ParallelDeathTest, ZeroLookaheadRejected)

@@ -152,8 +152,8 @@ TEST(PartitionTest, OneShardPartitionMatchesStandaloneWorld)
                       workload::UserPopulation::uniform(100), 42);
 
     const PartitionRun part = runPartitioned(1, 1, 42, 200.0);
-    EXPECT_EQ(part.digest, standalone.sim.executionDigest());
-    EXPECT_EQ(part.events, standalone.sim.eventsExecuted());
+    EXPECT_EQ(part.digest, standalone.ctx.executionDigest());
+    EXPECT_EQ(part.events, standalone.ctx.eventsExecuted());
 }
 
 TEST(PartitionTest, ThreadCountInvariantAtFixedShards)

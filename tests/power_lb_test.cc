@@ -45,10 +45,10 @@ TEST(PowerModelTest, CubicFrequencyScaling)
 TEST(EnergyMeterTest, IdleClusterBurnsIdlePower)
 {
     apps::World w(cfg(2));
-    cpu::EnergyMeter meter(w.sim, w.cluster, cpu::PowerModel::xeon(),
+    cpu::EnergyMeter meter(w.ctx, w.cluster, cpu::PowerModel::xeon(),
                            100 * kTicksPerMs);
     meter.start();
-    w.sim.runFor(10 * kTicksPerSec);
+    w.ctx.runFor(10 * kTicksPerSec);
     // 3 servers (2 workers + client) x 120W x 10s = 3600 J.
     EXPECT_NEAR(meter.totalJoules(), 3600.0, 40.0);
     EXPECT_NEAR(meter.averageWatts(), 360.0, 5.0);
@@ -67,7 +67,7 @@ TEST(EnergyMeterTest, LoadIncreasesEnergy)
         w.app->setEntry("fe");
         w.app->addQueryType({"q", 1, 1.0, 0, {}});
         w.app->validate();
-        cpu::EnergyMeter meter(w.sim, w.cluster,
+        cpu::EnergyMeter meter(w.ctx, w.cluster,
                                cpu::PowerModel::xeon());
         meter.start();
         workload::runLoad(*w.app, qps, kTicksPerSec, 3 * kTicksPerSec,
@@ -81,9 +81,9 @@ TEST(EnergyMeterTest, LoadIncreasesEnergy)
 TEST(EnergyMeterTest, ResetClearsIntegration)
 {
     apps::World w(cfg(2));
-    cpu::EnergyMeter meter(w.sim, w.cluster, cpu::PowerModel::xeon());
+    cpu::EnergyMeter meter(w.ctx, w.cluster, cpu::PowerModel::xeon());
     meter.start();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     EXPECT_GT(meter.totalJoules(), 0.0);
     meter.reset();
     EXPECT_EQ(meter.totalJoules(), 0.0);

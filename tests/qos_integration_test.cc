@@ -207,7 +207,7 @@ class QosOverloadTest : public ::testing::Test
     {
         const Tick interval = static_cast<Tick>(kTicksPerSec / qps);
         for (Tick t = interval; t < duration; t += interval)
-            world_->sim.scheduleAt(t, [this, &out, query, t]() {
+            world_->ctx.scheduleAt(t, [this, &out, query, t]() {
                 world_->app->inject(
                     query, t / kTicksPerMs, [&out, query](const Request &r) {
                         out.push_back({r.completeTime,
@@ -262,7 +262,7 @@ TEST_F(QosOverloadTest, TenXOverloadDegradesGracefullyUnderControl)
         std::vector<Outcome> outcomes;
         openLoop(/*query=*/0, /*qps=*/900.0, horizon, outcomes);
         openLoop(/*query=*/1, /*qps=*/9100.0, horizon, outcomes);
-        world_->sim.run();
+        world_->ctx.run();
         unsigned user_ok = 0;
         for (const Outcome &o : outcomes)
             if (o.query == 0 && o.ok && o.done >= from &&
@@ -316,7 +316,7 @@ TEST_F(QosOverloadTest, ThrottledRejectionsAreRetryable)
 
     std::vector<Outcome> outcomes;
     openLoop(/*query=*/0, /*qps=*/200.0, 2 * kTicksPerSec, outcomes);
-    world_->sim.run();
+    world_->ctx.run();
 
     unsigned ok = 0, throttled = 0;
     for (const Outcome &o : outcomes) {

@@ -287,7 +287,7 @@ TEST(ScenarioTest, WorldHandleStructure)
     for (unsigned s = 0; s < 3; ++s) {
         EXPECT_EQ(w.shard(s).config().seed,
                   apps::WorldHandle::shardSeed(scn.seed, s));
-        EXPECT_TRUE(w.shard(s).ctx.sharded());
+        EXPECT_EQ(w.shard(s).ctx.shardCount(), 3u);
         EXPECT_EQ(w.shard(s).ctx.shard(), s);
     }
 }

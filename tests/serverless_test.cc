@@ -131,7 +131,7 @@ TEST(LambdaPlatformTest, InvocationsCountFunctionTiers)
     LambdaPlatform::applyToApp(*w.app, cfg, w.cluster);
     for (int i = 0; i < 10; ++i)
         w.app->inject(0, 1);
-    w.sim.run();
+    w.ctx.run();
     // 10 requests x 2 function tiers.
     EXPECT_EQ(LambdaPlatform::invocations(*w.app, "state-store"), 20u);
     LambdaCostModel cost;

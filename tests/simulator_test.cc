@@ -70,6 +70,18 @@ TEST(SimulatorTest, RunForIsRelative)
     EXPECT_EQ(sim.now(), 200u);
 }
 
+TEST(SimulatorTest, RunForSaturatesAtMaxTick)
+{
+    // now + kMaxTick would wrap into the past; the sum saturates.
+    Simulator sim;
+    bool fired = false;
+    sim.schedule(1000, [&] { fired = true; });
+    sim.runUntil(100);
+    sim.runFor(kMaxTick);
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(sim.now(), kMaxTick);
+}
+
 TEST(SimulatorTest, EventAtDeadlineRuns)
 {
     Simulator sim;
