@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation engine itself:
- * event queue throughput, RNG draws, histogram recording, and
+ * event queue throughput, RNG draws, latency-sketch recording, and
  * end-to-end cost per simulated request on the Social Network graph.
  *
  * The global operator new is replaced by a counting one
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "apps/social_network.hh"
-#include "core/histogram.hh"
+#include "core/quantile_sketch.hh"
 #include "core/rng.hh"
 #include "core/simulator.hh"
 #include "counting_new.hh"
@@ -243,20 +243,20 @@ BM_RngExponential(benchmark::State &state)
 BENCHMARK(BM_RngExponential);
 
 static void
-BM_HistogramRecord(benchmark::State &state)
+BM_QuantileSketchRecord(benchmark::State &state)
 {
-    Histogram h;
+    QuantileSketch h;
     Rng rng(2);
     for (auto _ : state)
         h.record(static_cast<std::uint64_t>(rng.exponential(1e6)));
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HistogramRecord);
+BENCHMARK(BM_QuantileSketchRecord);
 
 static void
-BM_HistogramPercentile(benchmark::State &state)
+BM_QuantileSketchQuantile(benchmark::State &state)
 {
-    Histogram h;
+    QuantileSketch h;
     Rng rng(3);
     for (int i = 0; i < 100000; ++i)
         h.record(static_cast<std::uint64_t>(rng.exponential(1e6)));
@@ -265,7 +265,7 @@ BM_HistogramPercentile(benchmark::State &state)
         sink += h.p99();
     benchmark::DoNotOptimize(sink);
 }
-BENCHMARK(BM_HistogramPercentile);
+BENCHMARK(BM_QuantileSketchQuantile);
 
 static void
 BM_SocialNetworkRequest(benchmark::State &state)

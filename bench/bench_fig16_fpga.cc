@@ -59,8 +59,9 @@ runWith(apps::AppId id, bool fpga, double qps)
     gen.stop();
     Run out;
     out.tcpPerReqUs = done ? tcp_total / done / 1000.0 : 0.0;
-    out.p50 = w.app->endToEndLatency().p50();
-    out.p99 = w.app->endToEndLatency().p99();
+    const QuantileSketch e2e = w.app->endToEndLatency();
+    out.p50 = e2e.p50();
+    out.p99 = e2e.p99();
     return out;
 }
 

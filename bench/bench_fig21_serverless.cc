@@ -22,10 +22,10 @@ struct Percentiles
 };
 
 Percentiles
-pct(const Histogram &h)
+pct(const QuantileSketch &h)
 {
-    return {h.percentile(5), h.percentile(25), h.percentile(50),
-            h.percentile(75), h.percentile(95)};
+    return {h.quantile(0.05), h.quantile(0.25), h.quantile(0.50),
+            h.quantile(0.75), h.quantile(0.95)};
 }
 
 std::string
@@ -116,7 +116,16 @@ diurnalPanel()
                      "Lambda p99(ms)", "EC2 instances"});
 
     const double base_qps = 3600.0;
-    const Tick period = secToTicks(240.0);
+    const workload::DiurnalShape shape(secToTicks(240.0), 0.12);
+    // Both worlds replay the same arrival instants: each generator
+    // draws its gaps from its own copy of one seeded diurnal process
+    // (the generators' query and user draws stay on seed 3).
+    const auto diurnal = [&] {
+        return std::make_unique<workload::ShapedProcess>(
+            base_qps, workload::ArrivalKind::Diurnal,
+            [shape](Tick t) { return shape.at(t); },
+            shape.meanMultiplier(), 4);
+    };
 
     // -- EC2: fixed containers + reactive autoscaler -------------------
     // Balanced provisioning: at the diurnal peak the initial fleet is
@@ -138,9 +147,7 @@ diurnalPanel()
     workload::OpenLoopGenerator gen_ec2(
         *ec2->app, workload::QueryMix::fromApp(*ec2->app),
         workload::UserPopulation::uniform(500), 3);
-    workload::DiurnalShape shape(period, 0.12);
-    gen_ec2.setQps(base_qps);
-    gen_ec2.setRateShape([&](Tick t) { return shape.at(t); });
+    gen_ec2.setArrivalProcess(diurnal());
     gen_ec2.start();
 
     // -- Lambda: per-request scaling -----------------------------------
@@ -154,8 +161,7 @@ diurnalPanel()
     workload::OpenLoopGenerator gen_lam(
         *lam->app, workload::QueryMix::fromApp(*lam->app),
         workload::UserPopulation::uniform(500), 3);
-    gen_lam.setQps(base_qps);
-    gen_lam.setRateShape([&](Tick t) { return shape.at(t); });
+    gen_lam.setArrivalProcess(diurnal());
     gen_lam.start();
 
     for (int t = 20; t <= 240; t += 20) {

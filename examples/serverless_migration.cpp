@@ -45,8 +45,9 @@ run(bool lambda, serverless::StateStoreKind store)
                       workload::UserPopulation::uniform(1000), 5);
 
     RunResult r;
-    r.p50 = world.app->endToEndLatency().p50();
-    r.p95 = world.app->endToEndLatency().percentile(95);
+    const QuantileSketch e2e = world.app->endToEndLatency();
+    r.p50 = e2e.p50();
+    r.p95 = e2e.p95();
     const Tick window = secToTicks(600.0);
     if (!lambda) {
         r.costPer10Min = serverless::Ec2CostModel{}.cost(56, window);

@@ -1238,7 +1238,7 @@ runWorld(WorldHandle &w, const LoadSpec &spec)
     // Utilization spans every shard's servers in both modes.
     workload::LoadResult r;
     r.offeredQps = spec.qps;
-    Histogram latency;
+    QuantileSketch latency;
     std::uint64_t within_qos = 0;
     double util_sum = 0.0, net_sum = 0.0, comp_sum = 0.0;
     const unsigned e2e_shards = partitioned ? 1u : shards;
@@ -1247,7 +1247,10 @@ runWorld(WorldHandle &w, const LoadSpec &spec)
         r.completed += app.completed();
         r.dropped += app.droppedRequests();
         within_qos += app.completedWithinQos();
-        latency.merge(app.endToEndLatency());
+        // Per query type: merging endToEndLatency() would build one
+        // more table per shard.
+        for (unsigned qt = 0; qt < app.queryTypes().size(); ++qt)
+            latency.merge(app.endToEndLatencyFor(qt));
         const double n = static_cast<double>(app.completed());
         net_sum += app.meanNetworkTimePerRequest() * n;
         comp_sum += app.meanAppTimePerRequest() * n;

@@ -438,7 +438,7 @@ struct LoadSpec
  *
  * Replicate: every shard gets its own open-loop generator at
  * qps/shards (workload seed shardSeed(seed, i)); the measured window
- * is aggregated across shards (histograms merged, counts summed,
+ * is aggregated across shards (latency sketches merged, counts summed,
  * utilization averaged). With one shard this issues the exact call
  * sequence of workload::runLoad(), so digests and printed numbers
  * match the classic path bit-for-bit.

@@ -1,6 +1,5 @@
 #include "core/metrics.hh"
 
-#include <iomanip>
 #include <locale>
 #include <sstream>
 
@@ -24,20 +23,10 @@ MetricsRegistry::gauge(const std::string &name)
     return *slot;
 }
 
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    auto &slot = histograms_[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
-}
-
 bool
 MetricsRegistry::has(const std::string &name) const
 {
-    return counters_.count(name) || gauges_.count(name) ||
-           histograms_.count(name);
+    return counters_.count(name) || gauges_.count(name);
 }
 
 void
@@ -47,11 +36,6 @@ MetricsRegistry::dump(std::ostream &os) const
         os << name << " = " << c->value() << "\n";
     for (const auto &[name, g] : gauges_)
         os << name << " = " << g->value() << "\n";
-    for (const auto &[name, h] : histograms_) {
-        os << name << ": n=" << h->count() << " mean=" << std::fixed
-           << std::setprecision(1) << h->mean() << " p50=" << h->p50()
-           << " p99=" << h->p99() << " max=" << h->max() << "\n";
-    }
 }
 
 namespace {
@@ -111,18 +95,6 @@ MetricsRegistry::writeJson(std::ostream &os) const
         emitJsonString(os, name);
         os << ":" << g->value();
     }
-    os << "},\n \"histograms\":{";
-    first = true;
-    for (const auto &[name, h] : histograms_) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n  ";
-        emitJsonString(os, name);
-        os << ":{\"count\":" << h->count() << ",\"mean\":" << h->mean()
-           << ",\"p50\":" << h->p50() << ",\"p99\":" << h->p99()
-           << ",\"max\":" << h->max() << "}";
-    }
     os << "}}\n";
 }
 
@@ -145,8 +117,6 @@ MetricsRegistry::resetAll()
         c->reset();
     for (auto &[name, g] : gauges_)
         g->set(0.0);
-    for (auto &[name, h] : histograms_)
-        h->reset();
 }
 
 } // namespace uqsim

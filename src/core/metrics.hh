@@ -7,11 +7,11 @@
  * Names are dotted lower-case paths, most-general first:
  * "subsystem.metric" or "subsystem.tier.metric" (e.g.
  * "rpc.pool.blocked_acquires", "data.posts-memcached.hits"). Callers
- * resolve a metric once — counter()/gauge()/histogram() get-or-create
- * by name and return a reference with a stable address — and then
- * update through the reference, so hot-path updates are O(1) and
- * allocation-free. Snapshots (dump/writeJson) iterate in name order,
- * keeping all reporting deterministic.
+ * resolve a metric once — counter()/gauge() get-or-create by name and
+ * return a reference with a stable address — and then update through
+ * the reference, so hot-path updates are O(1) and allocation-free.
+ * Snapshots (dump/writeJson) iterate in name order, keeping all
+ * reporting deterministic.
  */
 
 #ifndef UQSIM_CORE_METRICS_HH
@@ -22,13 +22,12 @@
 #include <ostream>
 #include <string>
 
-#include "core/histogram.hh"
 #include "core/stats.hh"
 
 namespace uqsim {
 
 /**
- * Owns named counters, gauges and histograms.
+ * Owns named counters and gauges.
  */
 class MetricsRegistry
 {
@@ -39,26 +38,16 @@ class MetricsRegistry
     /** Get or create a gauge (stable reference). */
     Gauge &gauge(const std::string &name);
 
-    /** Get or create a histogram (stable reference). */
-    Histogram &histogram(const std::string &name);
-
     /** Whether a metric of any kind with this name exists. */
     bool has(const std::string &name) const;
 
     /** Registered metrics of all kinds. */
-    std::size_t size() const
-    {
-        return counters_.size() + gauges_.size() + histograms_.size();
-    }
+    std::size_t size() const { return counters_.size() + gauges_.size(); }
 
     /** Human-readable dump, one metric per line, in name order. */
     void dump(std::ostream &os) const;
 
-    /**
-     * JSON snapshot:
-     * {"counters":{...},"gauges":{...},"histograms":{name:
-     * {"count":..,"mean":..,"p50":..,"p99":..,"max":..}}}.
-     */
+    /** JSON snapshot: {"counters":{name:value,...},"gauges":{...}}. */
     void writeJson(std::ostream &os) const;
 
     /**
@@ -79,7 +68,6 @@ class MetricsRegistry
     // addresses stable across later registrations.
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 } // namespace uqsim

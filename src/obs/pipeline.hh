@@ -35,8 +35,8 @@
 #include <vector>
 
 #include "core/metrics.hh"
+#include "core/quantile_sketch.hh"
 #include "core/types.hh"
-#include "obs/sketch.hh"
 #include "obs/slo.hh"
 #include "obs/timeseries.hh"
 #include "service/app.hh"

@@ -123,8 +123,7 @@ LambdaPlatform::billedDuration(const service::App &app,
          const_cast<service::App &>(app).services()) {
         if (svc->name() == store_name)
             continue;
-        const Tick mean =
-            static_cast<Tick>(svc->latency().mean());
+        const Tick mean = static_cast<Tick>(svc->meanLatency());
         const Tick billed = cost.billedDuration(mean);
         std::uint64_t served = 0;
         for (const auto &inst : svc->instances())

@@ -294,7 +294,7 @@ App::addQueryType(QueryType qt)
         mask |= tagBit(tag);
     queryTags_.push_back(mask);
     queryTypes_.push_back(std::move(qt));
-    e2eByQuery_.push_back(std::make_unique<Histogram>());
+    e2eByQuery_.push_back(std::make_unique<QuantileSketch>());
     return static_cast<unsigned>(queryTypes_.size() - 1);
 }
 
@@ -2075,7 +2075,7 @@ App::onReplySent(HandlerFrame &h, Tick reply_busy)
         const Tick dur = h.span.duration();
         Microservice &svc = h.inst->svc();
         if (h.replyStatus == RpcStatus::Ok) {
-            svc.mutableLatency().record(dur);
+            svc.latencySum_ += static_cast<double>(dur);
             ++h.inst->served_;
             if (obsTap_)
                 obsTap_->onTierLatency(svc, dur);
@@ -2158,7 +2158,6 @@ App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
         } else {
             completed_->inc();
             const Tick lat = req->latency();
-            e2eLatency_.record(lat);
             e2eByQuery_[req->queryType]->record(lat);
             if (lat <= config_.qosLatency)
                 completedInQos_->inc();
@@ -2188,7 +2187,16 @@ App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
     });
 }
 
-const Histogram &
+QuantileSketch
+App::endToEndLatency() const
+{
+    QuantileSketch all;
+    for (const auto &h : e2eByQuery_)
+        all.merge(*h);
+    return all;
+}
+
+const QuantileSketch &
 App::endToEndLatencyFor(unsigned query_type) const
 {
     if (query_type >= e2eByQuery_.size())
@@ -2213,7 +2221,6 @@ App::meanAppTimePerRequest() const
 void
 App::statReset()
 {
-    e2eLatency_.reset();
     for (auto &h : e2eByQuery_)
         h->reset();
     metrics_.resetAll();
@@ -2221,7 +2228,7 @@ App::statReset()
     totalAppTime_ = 0.0;
     traceStore_.clear();
     for (Microservice *svc : serviceOrder_) {
-        svc->mutableLatency().reset();
+        svc->latencySum_ = 0.0;
         for (const auto &inst : svc->instances()) {
             inst->served_ = 0;
             inst->dropped_ = 0;

@@ -26,9 +26,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/histogram.hh"
 #include "core/inline_function.hh"
 #include "core/metrics.hh"
+#include "core/quantile_sketch.hh"
 #include "core/rng.hh"
 #include "core/sim_context.hh"
 #include "core/types.hh"
@@ -404,11 +404,14 @@ class App
 
     // -- Results ----------------------------------------------------------
 
-    /** End-to-end latency over completed (non-dropped) requests. */
-    const Histogram &endToEndLatency() const { return e2eLatency_; }
+    /**
+     * End-to-end latency over completed (non-dropped) requests: the
+     * merge of the per-query-type sketches.
+     */
+    QuantileSketch endToEndLatency() const;
 
     /** End-to-end latency for one query type. */
-    const Histogram &endToEndLatencyFor(unsigned query_type) const;
+    const QuantileSketch &endToEndLatencyFor(unsigned query_type) const;
 
     std::uint64_t injected() const { return injected_->value(); }
     std::uint64_t completed() const { return completed_->value(); }
@@ -456,7 +459,7 @@ class App
     Rng &rng() { return rng_; }
 
     /**
-     * Reset all measurement state (latency histograms, counters,
+     * Reset all measurement state (latency sketches, counters,
      * traces, per-server utilization) - call after warmup.
      */
     void statReset();
@@ -701,8 +704,7 @@ class App
     trace::IdAllocator ids_;
     trace::ServiceId clientServiceId_ = trace::kNoService;
 
-    Histogram e2eLatency_;
-    std::vector<std::unique_ptr<Histogram>> e2eByQuery_;
+    std::vector<std::unique_ptr<QuantileSketch>> e2eByQuery_;
     std::uint64_t nextRequestId_ = 0;
 
     /**

@@ -484,6 +484,15 @@ Microservice::totalDropped() const
     return total;
 }
 
+double
+Microservice::meanLatency() const
+{
+    std::uint64_t served = 0;
+    for (const auto &inst : instances_)
+        served += inst->served();
+    return served ? latencySum_ / static_cast<double>(served) : 0.0;
+}
+
 void
 Microservice::chargeKernel(double cycles, double instructions)
 {

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/histogram.hh"
 #include "core/stats.hh"
 #include "core/types.hh"
 #include "data/cache_model.hh"
@@ -417,9 +416,11 @@ class Microservice
     void setRouteMisconfigured(bool broken) { misrouted_ = broken; }
     bool routeMisconfigured() const { return misrouted_; }
 
-    /** Server-side latency histogram over all requests served. */
-    const Histogram &latency() const { return latency_; }
-    Histogram &mutableLatency() { return latency_; }
+    /**
+     * Mean server-side latency of the requests the tier served Ok
+     * since the last App::statReset() (0 if none).
+     */
+    double meanLatency() const;
 
     /**
      * Change the per-instance worker-thread count. Must be called
@@ -501,7 +502,8 @@ class Microservice
     Counter *replStoreLosses_ = nullptr;
     Counter *replTxnAborts_ = nullptr;
 
-    Histogram latency_;
+    /** Sum of the latencies counted by the instances' served(). */
+    double latencySum_ = 0.0;
 
     double kernelCycles_ = 0.0, userCycles_ = 0.0, libCycles_ = 0.0;
     double kernelInstr_ = 0.0, userInstr_ = 0.0, libInstr_ = 0.0;

@@ -14,7 +14,7 @@ TraceAnalysis::summarize(const std::string &name,
     if (idxs.empty())
         return s;
 
-    Histogram lat;
+    QuantileSketch lat;
     double net_share = 0.0, app_share = 0.0, queue_share = 0.0,
            down_share = 0.0;
     double net_ns = 0.0, app_ns = 0.0, mean_us = 0.0;
@@ -86,10 +86,10 @@ TraceAnalysis::endToEndNetworkShare() const
     return n ? total / static_cast<double>(n) : 0.0;
 }
 
-Histogram
+QuantileSketch
 TraceAnalysis::endToEndLatency() const
 {
-    Histogram h;
+    QuantileSketch h;
     for (const Span &sp : store_.spans())
         if (sp.parentSpanId == kNoParent)
             h.record(sp.duration());

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/histogram.hh"
+#include "core/quantile_sketch.hh"
 #include "trace/collector.hh"
 #include "trace/span.hh"
 
@@ -89,8 +89,8 @@ class TraceAnalysis
      */
     double endToEndNetworkShare() const;
 
-    /** Histogram of root-span (end-to-end) latencies. */
-    Histogram endToEndLatency() const;
+    /** Sketch of root-span (end-to-end) latencies. */
+    QuantileSketch endToEndLatency() const;
 
     /**
      * Critical-path service attribution: charges each span its

@@ -259,12 +259,6 @@ OpenLoopGenerator::setQps(double qps)
 }
 
 void
-OpenLoopGenerator::setRateShape(std::function<double(Tick)> shape)
-{
-    shape_ = std::move(shape);
-}
-
-void
 OpenLoopGenerator::setArrivalProcess(
     std::unique_ptr<ArrivalProcess> process)
 {
@@ -292,18 +286,10 @@ OpenLoopGenerator::scheduleNext()
 {
     if (!running_)
         return;
-    Tick gap;
-    if (arrival_) {
-        gap = arrival_->nextGap(app_.ctx().now());
-    } else {
-        double rate = qps_;
-        if (shape_)
-            rate *= std::max(1e-6, shape_(app_.ctx().now()));
-        const double mean_gap_ns =
-            static_cast<double>(kTicksPerSec) / rate;
-        gap = std::max<Tick>(
-            1, static_cast<Tick>(rng_.exponential(mean_gap_ns)));
-    }
+    // Without a process the gap comes from the generator's own stream,
+    // ahead of the query and user draws: the legacy draw order.
+    const Tick gap = arrival_ ? arrival_->nextGap(app_.ctx().now())
+                              : expGapTicks(rng_, qps_);
     pending_ = app_.ctx().schedule(gap, [this]() {
         if (!running_)
             return;

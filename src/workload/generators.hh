@@ -181,8 +181,8 @@ class MmppProcess final : public ArrivalProcess
 /**
  * Rate-modulated ("nonhomogeneous") Poisson arrivals: each gap is
  * drawn exponentially at the multiplier-scaled rate in effect when it
- * is drawn — the same discretization the legacy setRateShape() hook
- * uses; exact whenever gaps are short against the modulation period.
+ * is drawn; exact whenever gaps are short against the modulation
+ * period.
  */
 class ShapedProcess final : public ArrivalProcess
 {
@@ -251,17 +251,11 @@ class OpenLoopGenerator
     double qps() const { return qps_; }
 
     /**
-     * Optional time-varying rate multiplier (diurnal replay): called
-     * with the current tick, scales the base rate.
-     */
-    void setRateShape(std::function<double(Tick)> shape);
-
-    /**
      * Drive inter-arrival gaps from @p process instead of the built-in
-     * Poisson sampler. The process owns the rate (qps()/setRateShape()
-     * no longer apply) and draws from its own RNG stream, so the
-     * generator's query-mix/user draws are unperturbed. Null restores
-     * the built-in byte-identical legacy path.
+     * Poisson sampler. The process owns the rate (qps() no longer
+     * applies) and draws from its own RNG stream, so the generator's
+     * query-mix/user draws are unperturbed. Null restores the built-in
+     * byte-identical legacy path.
      */
     void setArrivalProcess(std::unique_ptr<ArrivalProcess> process);
 
@@ -286,7 +280,6 @@ class OpenLoopGenerator
     UserPopulation users_;
     Rng rng_;
     double qps_ = 100.0;
-    std::function<double(Tick)> shape_;
     std::unique_ptr<ArrivalProcess> arrival_;
     bool running_ = false;
     std::uint64_t generated_ = 0;

@@ -32,7 +32,7 @@ runLoad(service::App &app, double qps, Tick warmup, Tick measure,
     r.offeredQps = qps;
     r.completed = app.completed();
     r.dropped = app.droppedRequests();
-    const auto &h = app.endToEndLatency();
+    const QuantileSketch h = app.endToEndLatency();
     r.p50 = h.p50();
     r.p95 = h.p95();
     r.p99 = h.p99();

@@ -398,6 +398,49 @@ TEST_F(AppTest, StatResetClearsMeasurements)
     EXPECT_EQ(world_.app->traceStore().size(), 0u);
 }
 
+TEST_F(AppTest, TierMeanLatencyMatchesItsSpansAndRestartsAtStatReset)
+{
+    // A tier keeps only the sum of its Ok reply latencies. Its mean
+    // must equal the mean duration of the tier's spans in the trace
+    // store (no faults, nothing evicted), which record the same values.
+    buildChain(2); // two threads per tier: a burst queues
+    App &app = *world_.app;
+    const auto spanMean = [&app](const std::string &name) {
+        const auto &idxs = app.traceStore().byService(name);
+        double sum = 0.0;
+        for (std::size_t i : idxs)
+            sum += static_cast<double>(app.traceStore().at(i).duration());
+        return sum / static_cast<double>(idxs.size());
+    };
+    const char *tiers[] = {"front", "mid", "leaf"};
+
+    for (std::uint64_t user = 0; user < 50; ++user)
+        app.inject(0, user);
+    world_.ctx.run();
+    ASSERT_EQ(app.completed(), 50u);
+    ASSERT_EQ(app.traceStore().evicted(), 0u);
+    for (const char *name : tiers) {
+        ASSERT_EQ(app.traceStore().byService(name).size(), 50u);
+        EXPECT_EQ(app.service(name).meanLatency(), spanMean(name)) << name;
+    }
+    const double burst = app.service("front").meanLatency();
+
+    app.statReset();
+    for (const char *name : tiers)
+        EXPECT_EQ(app.service(name).meanLatency(), 0.0) << name;
+
+    // One request alone does not queue: each restarted mean is its own
+    // span's duration, and the entry tier's, where the burst queued, is
+    // below the burst's.
+    app.inject(0, 99);
+    world_.ctx.run();
+    for (const char *name : tiers) {
+        ASSERT_EQ(app.traceStore().byService(name).size(), 1u);
+        EXPECT_EQ(app.service(name).meanLatency(), spanMean(name)) << name;
+    }
+    EXPECT_LT(app.service("front").meanLatency(), burst);
+}
+
 TEST_F(AppTest, DotExportContainsGraph)
 {
     buildChain();

@@ -90,10 +90,12 @@ TEST(OpenLoopTest, RateShapeModulatesArrivals)
     buildTrivialApp(w);
     OpenLoopGenerator gen(*w.app, QueryMix({1.0}),
                           UserPopulation::uniform(10), 3);
-    gen.setQps(1000.0);
-    gen.setRateShape([](Tick t) {
-        return t < kTicksPerSec ? 0.1 : 1.0; // quiet first second
-    });
+    gen.setArrivalProcess(std::make_unique<ShapedProcess>(
+        1000.0, ArrivalKind::Diurnal,
+        [](Tick t) {
+            return t < kTicksPerSec ? 0.1 : 1.0; // quiet first second
+        },
+        1.0, 4));
     gen.start();
     w.ctx.runFor(kTicksPerSec);
     const auto quiet = gen.generated();

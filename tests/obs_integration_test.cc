@@ -22,9 +22,9 @@
 #include "apps/builder.hh"
 #include "apps/scenario.hh"
 #include "core/json.hh"
+#include "core/quantile_sketch.hh"
 #include "obs/export.hh"
 #include "obs/pipeline.hh"
-#include "obs/sketch.hh"
 #include "trace/export.hh"
 #include "workload/generators.hh"
 #include "workload/user_population.hh"
@@ -226,7 +226,7 @@ TEST(ObsIntegrationTest, IntervalPercentilesTrackExactWithinBound)
 
     const obs::Series *e2e = pipe.store().find(obs::kEndToEndSeries);
     ASSERT_NE(e2e, nullptr);
-    const double bound = obs::QuantileSketch().relativeErrorBound();
+    const double bound = QuantileSketch::relativeErrorBound();
     ASSERT_LE(bound, 0.02);
 
     unsigned compared = 0;

@@ -329,7 +329,7 @@ main(int argc, char **argv)
     if (app.queryTypes().size() > 1) {
         TextTable q({"query type", "count", "p50(ms)", "p99(ms)"});
         for (unsigned i = 0; i < app.queryTypes().size(); ++i) {
-            Histogram h;
+            QuantileSketch h;
             for (unsigned s = 0; s < nshards; ++s)
                 h.merge(sharded.shard(s).app->endToEndLatencyFor(i));
             if (h.count() == 0)
