@@ -5,11 +5,16 @@
  *
  * Replicate panel: the social-network world as N replica shards with
  * a fixed per-shard load (total simulated work grows with N), driven
- * by N worker threads — weak scaling of independent worlds.
+ * by N worker threads — weak scaling of independent worlds. Its
+ * speedup is the events/sec ratio to one shard.
  *
  * Partition panel: ONE social-network world at a fixed total load,
  * split across N shards by the placement layer — strong scaling of a
- * single application graph. The engine's conservative lookahead is
+ * single application graph. Its speedup is the 1-shard wall time over
+ * the N-shard wall time for the same scenario and simulated window:
+ * N shards execute more events than one (every cross-shard leg adds
+ * some), so an events/sec ratio would flatter them. The engine's
+ * conservative lookahead is
  * the inter-shard wire latency, so the panel uses a cross-rack wire
  * (--wire-us, default 100us) to keep barrier rounds coarse enough to
  * amortize; a datacenter-local 10us wire stresses the barrier path
@@ -22,8 +27,9 @@
  * By default the bench only records (--min-speedup 0 and
  * --min-partition-speedup 0): meaningful speedups need as many
  * physical cores as shards, which CI runners and laptops may not
- * have. Pass --min-speedup 2 / --min-partition-speedup 1.5 on a
- * >=4-core machine to enforce the scaling claims.
+ * have, so the JSON records the host's core count. Pass
+ * --min-speedup 2 / --min-partition-speedup 1.5 on a >=4-core machine
+ * to enforce the scaling claims.
  */
 
 #include <chrono>
@@ -31,6 +37,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/scenario.hh"
@@ -193,16 +200,16 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     printBanner(std::cout, "partition scaling (ONE social-network "
-                           "world, fixed total load)");
+                           "world, fixed total load; speedup is 1-shard "
+                           "wall time over N-shard wall time)");
     TextTable ptable({"shards", "threads", "events", "wall(s)",
                       "events/sec", "speedup", "digest"});
     std::vector<Row> prows;
     for (unsigned shards : {1u, 2u, 4u, 8u}) {
         Row row = runPartitionConfig(shards, qps_partition,
                                      duration_sec, wire_latency);
-        if (!prows.empty())
-            row.speedup =
-                row.eventsPerSec / prows.front().eventsPerSec;
+        if (!prows.empty() && row.wallSec > 0.0)
+            row.speedup = prows.front().wallSec / row.wallSec;
         prows.push_back(row);
         std::ostringstream digest;
         digest << std::hex << row.digest;
@@ -237,6 +244,7 @@ main(int argc, char **argv)
     w.field("qps_partition", qps_partition);
     w.field("wire_us", wire_us);
     w.field("duration_sec", duration_sec);
+    w.field("host_cores", std::thread::hardware_concurrency());
     w.beginArray("rows");
     writeRows(w, rows);
     w.endArray();

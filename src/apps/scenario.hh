@@ -20,7 +20,7 @@
  * - Deployment::Partition: every shard builds the identical world
  *   from the *same* seed, each tier is pinned to one home shard by the
  *   placement layer (data/placement.hh), and calls to a tier homed
- *   elsewhere cross the engine mailbox. The conservative lookahead is
+ *   elsewhere cross as engine mail. The conservative lookahead is
  *   the inter-shard wire latency — the minimum delay any cross-shard
  *   message experiences in the network model — which is what lets
  *   shards advance in parallel without ever reordering a delivery.

@@ -36,10 +36,11 @@ ParallelSimulator::ParallelSimulator(Config config)
         panic("ParallelSimulator with zero lookahead (cross-shard "
               "events would never be safe to buffer)");
     shards_.reserve(config.shards);
-    mail_.reserve(config.shards);
     for (unsigned i = 0; i < config.shards; ++i) {
         shards_.push_back(std::make_unique<Shard>());
-        mail_.push_back(std::make_unique<Mailbox>());
+        // One shard has no cross-shard channel, hence no outbox.
+        if (config.shards > 1)
+            shards_.back()->outbox.resize(config.shards);
     }
     nthreads_ = std::max(1u, std::min(config.threads, config.shards));
     if (nthreads_ > 1) {
@@ -81,8 +82,21 @@ ParallelSimulator::now(unsigned shard) const
 }
 
 void
+ParallelSimulator::scheduleMail(Shard &s, Tick when, MailCallback &&cb)
+{
+    MailSlot *slot = s.slots.acquire();
+    slot->cb = std::move(cb);
+    auto run = [slot]() {
+        slot->cb.consume();
+        slot->pool->recycle(slot);
+    };
+    static_assert(EventCallback::fitsInline<decltype(run)>());
+    s.queue.schedule(when, std::move(run));
+}
+
+void
 ParallelSimulator::postToShard(unsigned src, unsigned dst, Tick when,
-                               EventCallback cb)
+                               MailCallback cb)
 {
     if (dst >= shards_.size())
         panic(strCat("postToShard(", dst, ") out of range; ",
@@ -90,7 +104,7 @@ ParallelSimulator::postToShard(unsigned src, unsigned dst, Tick when,
     Shard &from = *shards_[src];
     if (dst == src) {
         // Same-shard fast path: an ordinary local event.
-        from.queue.schedule(when, std::move(cb));
+        scheduleMail(from, when, std::move(cb));
         return;
     }
     // The conservative contract: anything crossing a shard boundary
@@ -101,45 +115,47 @@ ParallelSimulator::postToShard(unsigned src, unsigned dst, Tick when,
         panic(strCat("cross-shard event from shard ", src, " (now=",
                      from.now, ") to shard ", dst, " at when=", when,
                      " violates lookahead ", lookahead_));
-    Mailbox &box = *mail_[dst];
-    std::lock_guard<std::mutex> lock(box.mu);
-    box.msgs.push_back(Mail{when, src, from.mailSeq++, std::move(cb)});
-    box.maybeNonEmpty = true;
+    from.outbox[dst].push_back(Mail{when, std::move(cb)});
 }
 
 void
 ParallelSimulator::deliverMail()
 {
-    for (unsigned dst = 0; dst < shards_.size(); ++dst) {
-        Mailbox &box = *mail_[dst];
-        if (!box.maybeNonEmpty)
-            continue;
-        std::vector<Mail> &msgs = box.spare;
-        {
-            std::lock_guard<std::mutex> lock(box.mu);
-            msgs.swap(box.msgs);
-            box.maybeNonEmpty = false;
+    const auto n = static_cast<unsigned>(shards_.size());
+    if (n == 1)
+        return;
+    for (unsigned dst = 0; dst < n; ++dst) {
+        mailKeys_.clear();
+        for (unsigned src = 0; src < n; ++src) {
+            const std::vector<Mail> &box = shards_[src]->outbox[dst];
+            for (std::size_t i = 0; i < box.size(); ++i)
+                mailKeys_.push_back(MailKey{
+                    box[i].when, src, static_cast<std::uint32_t>(i)});
         }
-        // (when, src, seq) is a total order: seq is unique per source.
-        // Sorting makes the merge independent of the interleaving in
-        // which worker threads appended to the mailbox.
-        std::sort(msgs.begin(), msgs.end(),
-                  [](const Mail &a, const Mail &b) {
+        if (mailKeys_.empty())
+            continue;
+        // An outbox is in its sender's posting order, so (when, src,
+        // index) is the (when, src, seq) total order: the merge does
+        // not depend on which worker thread ran which sender.
+        std::sort(mailKeys_.begin(), mailKeys_.end(),
+                  [](const MailKey &a, const MailKey &b) {
                       if (a.when != b.when)
                           return a.when < b.when;
                       if (a.src != b.src)
                           return a.src < b.src;
-                      return a.seq < b.seq;
+                      return a.index < b.index;
                   });
         Shard &s = *shards_[dst];
-        for (Mail &m : msgs) {
-            if (m.when < s.now)
-                panic(strCat("mailbox delivery at when=", m.when,
+        for (const MailKey &k : mailKeys_) {
+            if (k.when < s.now)
+                panic(strCat("mail delivery at when=", k.when,
                              " behind shard ", dst, " clock now=",
                              s.now, " (lookahead too small?)"));
-            s.queue.schedule(m.when, std::move(m.cb));
+            scheduleMail(s, k.when,
+                         std::move(shards_[k.src]->outbox[dst][k.index].cb));
         }
-        msgs.clear();
+        for (unsigned src = 0; src < n; ++src)
+            shards_[src]->outbox[dst].clear();
     }
 }
 
@@ -345,7 +361,7 @@ ParallelSimulator::executionDigest() const
 // -- SimContext methods needing the engine definition -------------------
 
 void
-SimContext::postToShard(unsigned dst, Tick delay, EventCallback cb)
+SimContext::postToShard(unsigned dst, Tick delay, MailCallback cb)
 {
     engine_->postToShard(shard_, dst, satAdd(now(), delay), std::move(cb));
 }

@@ -9,9 +9,10 @@
  *
  *   round:  horizon = min(next event time over all shards) + lookahead
  *           every shard executes its events with time < horizon
- *   barrier: cross-shard events buffered during the round are merged
- *            into their destination queues in deterministic
- *            (when, source shard, source sequence) order
+ *   barrier: cross-shard events buffered during the round in the
+ *            senders' outboxes are merged into their destination
+ *            queues in deterministic (when, source shard, source
+ *            sequence) order
  *
  * The lookahead is the minimum cross-shard latency (for the network
  * worlds: the minimum inter-shard wire latency); every cross-shard
@@ -21,7 +22,7 @@
  *
  * Determinism is by construction, independent of the worker-thread
  * count: shard execution is sequential, rounds are a pure function of
- * simulation state, and mailbox merges are sorted. Per-shard FNV-1a
+ * simulation state, and outbox merges are sorted. Per-shard FNV-1a
  * digests compose into a run digest that is order-sensitive within a
  * shard and order-insensitive (commutative) across shards; with one
  * shard the composed digest is that shard's queue digest verbatim.
@@ -29,6 +30,18 @@
  * This is the only engine: a single-shard world is a one-shard
  * ParallelSimulator, which runs every event in one round (its
  * lookahead is kMaxTick) on the driving thread. See docs/PARALLEL.md.
+ *
+ * Mail takes no lock and allocates nothing once the buffers have
+ * grown. Shard s keeps one outbox per destination; only the thread
+ * running s writes it (inside a round, or the driving thread between
+ * rounds), and only deliverMail() reads and clears it, between rounds.
+ * Delivery moves each callback into a MailSlot owned by the
+ * destination and schedules a one-pointer event that runs it, destroys
+ * it in place and returns the slot. Slots are taken between rounds on
+ * the driving thread (or by a same-shard post, on the shard's own
+ * thread) and returned inside rounds on the destination's thread; the
+ * runRound()/workerLoop() handshake orders the two, so the slot free
+ * list needs no lock.
  */
 
 #ifndef UQSIM_CORE_PARALLEL_HH
@@ -42,6 +55,7 @@
 #include <vector>
 
 #include "core/event_queue.hh"
+#include "core/frame_pool.hh"
 #include "core/sim_context.hh"
 #include "core/types.hh"
 
@@ -119,7 +133,7 @@ class ParallelSimulator
     void addClockObserver(unsigned shard, Tick interval,
                           ClockObserverFn fn);
 
-    /** Run until every queue and mailbox drains. */
+    /** Run until every queue and outbox drains. */
     void run();
 
     /**
@@ -162,13 +176,40 @@ class ParallelSimulator
         ClockObserverFn fn;
     };
 
-    /** One shard: queue + clock + outbound mail sequence. */
+    /** A posted callback waiting in its sender's outbox. */
+    struct Mail
+    {
+        Tick when = 0;
+        MailCallback cb;
+    };
+
+    /** A delivered (or same-shard) callback, owned by its shard. */
+    struct MailSlot : PooledFrame<MailSlot>
+    {
+        MailCallback cb;
+    };
+
+    /** Sort key of one outbox entry: (when, source, index in outbox). */
+    struct MailKey
+    {
+        Tick when;
+        unsigned src;
+        std::uint32_t index;
+    };
+
+    /** One shard: slots, queue, clock and outboxes. */
     struct Shard
     {
+        /**
+         * Callbacks scheduled on this shard's queue by postToShard. A
+         * slot still pending when the shard is destroyed dies with the
+         * pool, and its callback with it.
+         */
+        FramePool<MailSlot> slots;
         EventQueue queue;
         Tick now = 0;
-        /** Sequence of cross-shard sends originating here. */
-        std::uint64_t mailSeq = 0;
+        /** Mail posted here for each destination shard (index). */
+        std::vector<std::vector<Mail>> outbox;
         /** Periodic sampling callbacks (empty on the common path). */
         std::vector<ClockObserver> observers;
         /** Earliest pending boundary (kMaxTick while none). */
@@ -182,34 +223,20 @@ class ParallelSimulator
         void fireObservers(Tick limit);
     };
 
-    /** One buffered cross-shard event. */
-    struct Mail
-    {
-        Tick when = 0;
-        unsigned src = 0;
-        std::uint64_t seq = 0;
-        EventCallback cb;
-    };
-
-    /** Per-destination mailbox (locked by concurrent senders). */
-    struct Mailbox
-    {
-        std::mutex mu;
-        std::vector<Mail> msgs;
-        /** The buffer delivered last round, emptied but kept for its
-         *  capacity: swapped in for msgs at the next delivery. */
-        std::vector<Mail> spare;
-        /** Lock-free emptiness hint for the control loop. */
-        bool maybeNonEmpty = false;
-    };
-
-    /** Buffer a cross-shard event (called via SimContext). */
+    /**
+     * Post @p cb from shard @p src to run on @p dst at @p when (called
+     * via SimContext): into @p src's outbox for @p dst, or straight
+     * into a slot of @p src's own.
+     */
     void postToShard(unsigned src, unsigned dst, Tick when,
-                     EventCallback cb);
+                     MailCallback cb);
+
+    /** Move @p cb into a slot of @p s and schedule it at @p when. */
+    static void scheduleMail(Shard &s, Tick when, MailCallback &&cb);
 
     /**
-     * Merge all pending mail into destination queues, sorted by
-     * (when, src, seq). Runs between rounds (no workers active).
+     * Merge all outboxes into destination queues, sorted by (when,
+     * src, index). Runs between rounds (no workers active).
      */
     void deliverMail();
 
@@ -226,7 +253,8 @@ class ParallelSimulator
     void workerLoop(unsigned index);
 
     std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::unique_ptr<Mailbox>> mail_;
+    /** deliverMail()'s sort buffer, kept for its capacity. */
+    std::vector<MailKey> mailKeys_;
     Tick lookahead_ = kMaxTick;
 
     // -- Worker pool (nthreads_ > 1 only) ------------------------------

@@ -11,26 +11,37 @@
  * ParallelSimulator, and a Simulator (core/simulator.hh) is one of
  * those seen through its shard 0 context. Cross-shard communication
  * goes through postToShard(), which enforces the conservative
- * lookahead and delivers through the engine's mailboxes at the next
+ * lookahead and delivers through the engine's outboxes at the next
  * synchronization barrier.
  *
- * Scheduling and clock reads are shard-local and wait-free; only
- * postToShard() to a *different* shard takes a (per-destination) lock.
- * See docs/PARALLEL.md.
+ * Scheduling, clock reads and postToShard() are shard-local and
+ * wait-free: a post appends to an outbox only the posting shard
+ * writes, and takes no lock. See docs/PARALLEL.md.
  */
 
 #ifndef UQSIM_CORE_SIM_CONTEXT_HH
 #define UQSIM_CORE_SIM_CONTEXT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
 #include "core/event_queue.hh"
+#include "core/inline_function.hh"
 #include "core/types.hh"
 
 namespace uqsim {
 
 class ParallelSimulator;
+
+/**
+ * Callback of postToShard(). Captures up to kMailCallbackBytes are
+ * carried inline from the sending shard to the receiving one; the
+ * forward leg of a cross-shard RPC (a peer pointer and a marshalled
+ * service::RemoteCall) is the largest and fits exactly.
+ */
+inline constexpr std::size_t kMailCallbackBytes = 128;
+using MailCallback = InlineFunction<void(), kMailCallbackBytes>;
 
 /** Callback observing the clock at one interval boundary. */
 using ClockObserverFn = std::function<void(Tick boundary)>;
@@ -75,15 +86,16 @@ class SimContext
     /**
      * Schedule @p cb on shard @p dst, @p delay ticks from now.
      *
-     * Same-shard posts degrade to schedule(). Cross-shard posts
+     * Same-shard posts are scheduled at once. Cross-shard posts
      * require `dst < shardCount()` and `delay >= lookahead()` (the
      * conservative synchronization window); violating either is an
-     * internal error. Cross-shard events are buffered in the engine's
-     * mailbox for @p dst and merged into its queue at the next barrier
-     * in deterministic (when, source shard, source sequence) order, so
-     * no cancellation handle is returned.
+     * internal error. Cross-shard events are buffered in this shard's
+     * outbox for @p dst and merged into its queue at the next barrier
+     * in deterministic (when, source shard, source sequence) order.
+     * Either way the callback runs from a slot of @p dst's own, so no
+     * cancellation handle is returned.
      */
-    void postToShard(unsigned dst, Tick delay, EventCallback cb);
+    void postToShard(unsigned dst, Tick delay, MailCallback cb);
 
     /** @return this component's shard id (0 in single-shard worlds). */
     unsigned shard() const { return shard_; }

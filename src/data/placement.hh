@@ -5,7 +5,7 @@
  * In `Deployment::Partition` mode one application world is split
  * across `ParallelSimulator` shards: every microservice tier lives on
  * exactly one shard ("home shard") and calls between tiers on
- * different shards cross the engine's mailbox with conservative
+ * different shards cross as engine mail with conservative
  * lookahead equal to the inter-shard wire latency. The placement map
  * is the declarative input: a list of explicit pins plus a
  * deterministic default assignment for everything unpinned.

@@ -291,7 +291,8 @@ ReplicaSet::route(unsigned group, std::uint64_t key, bool write,
         // the quorum delay the (W-1)-th fastest follower's lag.
         const unsigned lead =
             memberAt(group, static_cast<unsigned>(g.leaderPos));
-        std::vector<Tick> lags;
+        std::vector<Tick> &lags = lags_;
+        lags.clear();
         for (unsigned p = 0; p < n_; ++p) {
             if (static_cast<int>(p) == g.leaderPos)
                 continue;
@@ -313,7 +314,8 @@ ReplicaSet::route(unsigned group, std::uint64_t key, bool write,
 
     // Reads. Serving candidates: up, caught-up members in position
     // order (the leader, when present, is candidates[leaderPos slot]).
-    std::vector<unsigned> cand;
+    std::vector<unsigned> &cand = cand_;
+    cand.clear();
     for (unsigned p = 0; p < n_; ++p)
         if (eligibleAt(group, p, now))
             cand.push_back(p);

@@ -285,6 +285,10 @@ class ReplicaSet
     std::vector<Member> members_;
     std::vector<Group> groups_;
     ReplicaCounts counts_;
+    /** route()'s scratch: follower lags and read candidates, cleared
+     *  on each call and kept for their capacity. */
+    std::vector<Tick> lags_;
+    std::vector<unsigned> cand_;
 };
 
 } // namespace uqsim::replica

@@ -8,21 +8,6 @@
 
 namespace uqsim::service {
 
-/** A Request counted in App::liveRequests() while it exists. */
-struct CountedRequest : Request
-{
-    explicit CountedRequest(std::shared_ptr<std::atomic<std::int64_t>> n)
-        : live(std::move(n))
-    {
-        ++*live;
-    }
-    CountedRequest(const CountedRequest &) = delete;
-    CountedRequest &operator=(const CountedRequest &) = delete;
-    ~CountedRequest() { --*live; }
-
-    std::shared_ptr<std::atomic<std::int64_t>> live;
-};
-
 /**
  * One RPC attempt (DESIGN.md, "Request frames"). Each attempt runs on
  * its own frame; a retry copies the call's fields into a fresh frame
@@ -30,7 +15,8 @@ struct CountedRequest : Request
  * CallRef plus the generation they were created under: settling bumps
  * the generation, so late replies and deliveries of abandoned requests
  * see a newer value and stop. On the home shard of a cross-shard call
- * a frame with `served` set stands in for the remote caller.
+ * a frame with `served` set stands in for the remote caller and keeps
+ * only the address its reply goes back to.
  */
 struct CallFrame : PooledFrame<CallFrame>
 {
@@ -40,7 +26,7 @@ struct CallFrame : PooledFrame<CallFrame>
     unsigned callerServer = 0;
     Instance *callerInst = nullptr;
     Microservice *target = nullptr;
-    RequestPtr req;
+    RequestRef req;
     trace::SpanId parentSpan = trace::kNoParent;
     Bytes reqBytes = 0;
     Bytes respBytes = 0;
@@ -85,8 +71,8 @@ struct CallFrame : PooledFrame<CallFrame>
 
     // -- Serving a cross-shard call on its home shard -------------------
     bool served = false;
-    RemoteCall remoteCall;
     std::uint8_t remoteHit = 0;
+    ReplyAddress replyTo;
 
     CallFrame() = default;
     CallFrame(const CallFrame &) = delete;
@@ -184,6 +170,7 @@ App::App(SimContext ctx, cpu::Cluster &cluster, net::Network &network,
     : ctx_(ctx), cluster_(cluster), network_(network),
       config_(std::move(config)), rng_(seed),
       resilienceRng_(seed ^ 0x524553494c49454eull),
+      requests_(new FramePool<RequestFrame>),
       calls_(new FramePool<CallFrame>),
       handlers_(new FramePool<HandlerFrame>),
       traceStore_(config_.traceCapacity), collector_(traceStore_)
@@ -227,12 +214,19 @@ App::~App()
     }
     calls_->orphan();
     handlers_->orphan();
+    requests_->orphan();
 }
 
 std::int64_t
 App::liveHandlerContexts() const
 {
     return static_cast<std::int64_t>(handlers_->inUse());
+}
+
+std::int64_t
+App::liveRequests() const
+{
+    return static_cast<std::int64_t>(requests_->inUse());
 }
 
 std::int64_t
@@ -804,7 +798,7 @@ tcpShare(Cycles tcp, Cycles total)
 
 void
 App::rpcCall(unsigned caller_server, Instance *caller_inst,
-             Microservice &target, const RequestPtr &req,
+             Microservice &target, const RequestRef &req,
              trace::SpanId parent_span, Bytes req_bytes, Bytes resp_bytes,
              bool carries_media, RpcDone done, data::RouteHint route)
 {
@@ -959,7 +953,7 @@ App::onSent(CallFrame &f, std::uint32_t gen, Tick send_busy)
     f.callerNet += send_busy;
 
     // Partitioned deployment: a target homed on another shard is a
-    // different machine reachable only through the engine mailbox —
+    // different machine reachable only through engine mail —
     // hand the attempt to the cross-shard leg. Every path below this
     // point (instance selection, delivery, reply) then runs on the
     // target's home shard.
@@ -1108,9 +1102,7 @@ App::remoteAttempt(CallFrame &f, std::uint32_t gen)
     f.callerNet += fwd.first;
 
     RemoteCall call;
-    call.srcShard = ctx_.shard();
-    call.callerFrame = f.index;
-    call.callerGen = gen;
+    call.replyTo = ReplyAddress{ctx_.shard(), f.index, gen};
     call.tier = f.target->orderIndex();
     call.requestId = req.id;
     call.queryType = req.queryType;
@@ -1133,8 +1125,9 @@ App::remoteAttempt(CallFrame &f, std::uint32_t gen)
     f.remoteHeld = true;
     retainFrame(&f);
     App *peer = peerApps_[home];
-    ctx_.postToShard(home, fwd.first + fwd.second,
-                     [peer, call]() { peer->serveRemote(call); });
+    auto serve = [peer, call]() { peer->serveRemote(call); };
+    static_assert(MailCallback::fitsInline<decltype(serve)>());
+    ctx_.postToShard(home, fwd.first + fwd.second, std::move(serve));
 }
 
 void
@@ -1317,7 +1310,7 @@ App::serveRemote(const RemoteCall &call)
     // Shard-local twin of the caller's request: identity copied,
     // accounting zeroed — this shard accumulates its own delta and the
     // caller merges it, so nothing is double counted.
-    RequestPtr rreq = std::make_shared<CountedRequest>(liveRequests_);
+    RequestRef rreq(requests_->acquire());
     rreq->id = call.requestId;
     rreq->queryType = call.queryType;
     rreq->userId = call.userId;
@@ -1353,7 +1346,7 @@ App::serveRemote(const RemoteCall &call)
         RemoteDelta d;
         d.remoteHit = remote_hit;
         d.status = key_status;
-        postDelta(call, d, network_.config().wireLatency);
+        postDelta(call.replyTo, d, network_.config().wireLatency);
         return;
     }
 
@@ -1362,7 +1355,7 @@ App::serveRemote(const RemoteCall &call)
     CallRef f(calls_->acquire());
     f->app = this;
     f->served = true;
-    f->remoteCall = call;
+    f->replyTo = call.replyTo;
     f->remoteHit = remote_hit;
     f->target = tgt;
     f->req = std::move(rreq);
@@ -1392,14 +1385,14 @@ App::serveRemote(const RemoteCall &call)
 }
 
 void
-App::postDelta(const RemoteCall &call, const RemoteDelta &d, Tick delay)
+App::postDelta(const ReplyAddress &to, const RemoteDelta &d, Tick delay)
 {
-    App *peer = peerApps_[call.srcShard];
-    const std::uint32_t index = call.callerFrame;
-    const std::uint32_t gen = call.callerGen;
-    ctx_.postToShard(call.srcShard, delay, [peer, index, gen, d]() {
+    App *peer = peerApps_[to.shard];
+    auto back = [peer, index = to.frame, gen = to.gen, d]() {
         peer->onRemoteReply(index, gen, d);
-    });
+    };
+    static_assert(MailCallback::fitsInline<decltype(back)>());
+    ctx_.postToShard(to.shard, delay, std::move(back));
 }
 
 // -- Server side: arrival, handler, reply ---------------------------------
@@ -2090,9 +2083,8 @@ App::onReplySent(HandlerFrame &h, Tick reply_busy)
         // Reply leg of a cross-shard call: this shard's NIC pays the tx
         // queueing, the wire pays the inter-shard latency — so the post
         // delay is always >= the engine lookahead.
-        const RemoteCall &call = f.remoteCall;
         const std::pair<Tick, Tick> rep =
-            network_.crossShardDelay(callee_server, call.respWire);
+            network_.crossShardDelay(callee_server, f.respWire);
         RemoteDelta d;
         d.networkTime = req.networkTime;
         d.tcpProcTime = req.tcpProcTime;
@@ -2104,7 +2096,7 @@ App::onReplySent(HandlerFrame &h, Tick reply_busy)
         d.remoteHit = f.remoteHit;
         d.dropped = req.dropped;
         d.status = h.replyStatus;
-        postDelta(call, d, rep.first + rep.second);
+        postDelta(f.replyTo, d, rep.first + rep.second);
         return;
     }
     network_.send(callee_server, f.callerServer, h.respWire,
@@ -2126,7 +2118,7 @@ App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
     if (query_type >= queryTypes_.size())
         fatal(strCat("unknown query type ", query_type));
 
-    RequestPtr req = std::make_shared<CountedRequest>(liveRequests_);
+    RequestRef req(requests_->acquire());
     req->id = nextRequestId_++;
     req->queryType = query_type;
     req->userId = user_id;

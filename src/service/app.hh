@@ -17,7 +17,6 @@
 #define UQSIM_SERVICE_APP_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -108,6 +107,17 @@ class ObsTap
 };
 
 /**
+ * Where the delta of a cross-shard call goes back to: the caller's
+ * shard and its CallFrame's slot and generation there.
+ */
+struct ReplyAddress
+{
+    unsigned shard = 0;
+    std::uint32_t frame = 0;
+    std::uint32_t gen = 0;
+};
+
+/**
  * One RPC marshalled across shards of a partitioned world: a caller
  * shard invoking a tier homed elsewhere. Plain values only — the two
  * shards share no object graph, so the call carries the request's
@@ -118,10 +128,7 @@ class ObsTap
  */
 struct RemoteCall
 {
-    unsigned srcShard = 0;
-    /** The caller's CallFrame slot and generation on srcShard. */
-    std::uint32_t callerFrame = 0;
-    std::uint32_t callerGen = 0;
+    ReplyAddress replyTo;
     unsigned tier = 0;
     std::uint64_t requestId = 0;
     unsigned queryType = 0;
@@ -430,13 +437,13 @@ class App
     }
 
     /**
-     * Handler contexts (HandlerFrames), requests and request frames
-     * (CallFrames plus HandlerFrames) of this App still alive. Once
-     * the engine has run out of events all are zero; anything left
-     * over is held by a reference cycle and leaks.
+     * Handler contexts (HandlerFrames), requests (RequestFrames) and
+     * call frames (CallFrames plus HandlerFrames) of this App still
+     * alive. Once the engine has run out of events all are zero;
+     * anything left over is held by a reference cycle and leaks.
      */
     std::int64_t liveHandlerContexts() const;
-    std::int64_t liveRequests() const { return *liveRequests_; }
+    std::int64_t liveRequests() const;
     std::int64_t framesInUse() const;
 
     /** Aggregate network-processing work time per completed request. */
@@ -513,7 +520,7 @@ class App
      * instead of the legacy userId/round-robin selection.
      */
     void rpcCall(unsigned caller_server, Instance *caller_inst,
-                 Microservice &target, const RequestPtr &req,
+                 Microservice &target, const RequestRef &req,
                  trace::SpanId parent_span, Bytes req_bytes,
                  Bytes resp_bytes, bool carries_media, RpcDone done,
                  data::RouteHint route = {});
@@ -546,8 +553,8 @@ class App
      */
     void remoteAttempt(CallFrame &f, std::uint32_t gen);
 
-    /** Post @p d back to the caller frame @p call names. */
-    void postDelta(const RemoteCall &call, const RemoteDelta &d, Tick delay);
+    /** Post @p d back to the caller frame @p to names. */
+    void postDelta(const ReplyAddress &to, const RemoteDelta &d, Tick delay);
 
     /** The home shard's delta for caller frame @p index arrived. */
     void onRemoteReply(std::uint32_t index, std::uint32_t gen,
@@ -674,7 +681,8 @@ class App
     /** Bit of data::kWriteTag. */
     std::uint64_t writeTag_ = 0;
 
-    /** Request frames (self-deleting once orphaned by ~App). */
+    /** Frames (each pool self-deleting once orphaned by ~App). */
+    FramePool<RequestFrame> *requests_;
     FramePool<CallFrame> *calls_;
     FramePool<HandlerFrame> *handlers_;
 
@@ -707,12 +715,6 @@ class App
     std::vector<std::unique_ptr<QuantileSketch>> e2eByQuery_;
     std::uint64_t nextRequestId_ = 0;
 
-    /**
-     * Live-request count. Shared, because events still queued when a
-     * world is torn down release their requests after the App is gone.
-     */
-    std::shared_ptr<std::atomic<std::int64_t>> liveRequests_ =
-        std::make_shared<std::atomic<std::int64_t>>(0);
     /** Request accounting, owned by the metrics registry. */
     Counter *injected_ = nullptr;
     Counter *completed_ = nullptr;

@@ -28,7 +28,7 @@
 #include "rpc/protocol.hh"
 #include "rpc/resilience.hh"
 #include "service/admission.hh"
-#include "service/frame_pool.hh"
+#include "core/frame_pool.hh"
 #include "service/handler.hh"
 #include "service/request.hh"
 #include "trace/span.hh"
@@ -392,7 +392,7 @@ class Microservice
 
     /**
      * Home shard of this tier in a partitioned world. Calls from a
-     * tier with a different home cross the engine mailbox instead of
+     * tier with a different home cross as engine mail instead of
      * the local RPC path. 0 (everything colocated) until
      * `App::enablePartition` assigns the placement.
      */

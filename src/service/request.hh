@@ -1,17 +1,17 @@
 /**
  * @file
  * End-to-end request state shared across all RPC hops of one user
- * request.
+ * request, and the pooled frame it lives in.
  */
 
 #ifndef UQSIM_SERVICE_REQUEST_HH
 #define UQSIM_SERVICE_REQUEST_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/frame_pool.hh"
 #include "core/types.hh"
 #include "service/admission.hh"
 #include "trace/span.hh"
@@ -21,10 +21,10 @@ namespace uqsim::service {
 /**
  * One end-to-end user request flowing through a service graph.
  *
- * The request object travels (by shared pointer) through every hop and
- * accumulates the global accounting the experiments need: total time
- * attributable to network processing vs application compute, and
- * cycles by execution mode.
+ * The request object travels (by RequestRef, see RequestFrame) through
+ * every hop and accumulates the global accounting the experiments
+ * need: total time attributable to network processing vs application
+ * compute, and cycles by execution mode.
  */
 struct Request
 {
@@ -115,7 +115,29 @@ struct Request
     }
 };
 
-using RequestPtr = std::shared_ptr<Request>;
+/**
+ * A Request in its App's FramePool: every injected request, and every
+ * home-shard twin of a cross-shard call. Like the App's other frames
+ * it belongs to one shard, so its reference count is plain.
+ */
+struct RequestFrame : PooledFrame<RequestFrame>, Request
+{
+};
+
+inline void
+retainFrame(RequestFrame *frame) noexcept
+{
+    ++frame->refs;
+}
+
+inline void
+releaseFrame(RequestFrame *frame) noexcept
+{
+    if (--frame->refs == 0)
+        frame->pool->recycle(frame);
+}
+
+using RequestRef = FrameRef<RequestFrame>;
 
 /**
  * A query type of an end-to-end application (Sec 3.8, "query

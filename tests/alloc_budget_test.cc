@@ -6,11 +6,14 @@
  * with a counting one. It drives the 36-tier social network open-loop
  * at 3000 qps (0.5 s warm-up, then 1 s measured) and checks that the
  * measured second allocates at most kBudget times per injected
- * request. The request path runs on pooled frames, inline callbacks
- * and pooled event nodes; what is left per request is the Request
- * object itself and the amortized growth of queues and pools. A second
- * case bounces one event between two shards and checks that, once the
- * mailboxes have grown, a round of cross-shard mail allocates nothing.
+ * request. The request path runs on pooled request and call frames,
+ * inline callbacks and pooled event nodes, so what is left is the
+ * rare growth of a queue or a pool. A second case splits the same
+ * graph over four shards on one thread, where every cross-shard leg
+ * carries its closures inline, and holds it to kPartitionBudget. A
+ * third bounces events between two shards and checks that, once the
+ * outboxes and slot pools have grown, mail of every inline size and
+ * same-shard posts allocate nothing.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <array>
 #include <cstdio>
 
+#include "apps/scenario.hh"
 #include "apps/social_network.hh"
 #include "core/parallel.hh"
 #include "counting_new.hh"
@@ -27,7 +31,35 @@ namespace uqsim {
 namespace {
 
 /** Allocations allowed per injected request, measured steady state. */
-constexpr double kBudget = 10.0;
+constexpr double kBudget = 0.01;
+
+/** The same for a 4-shard partitioned world, whose four shards' queues
+ *  and pools are still growing now and then after the warm-up. */
+constexpr double kPartitionBudget = 0.05;
+
+/**
+ * Run @p app's world for a 0.5 s warm-up, then one measured second:
+ * @return allocations per request injected in that second.
+ */
+double
+measuredAllocsPerRequest(service::App &app)
+{
+    app.ctx().runFor(kTicksPerSec / 2); // pools and queues grow here
+
+    const std::uint64_t allocs0 = countedAllocations();
+    const std::uint64_t injected0 = app.injected();
+    app.ctx().runFor(kTicksPerSec);
+    const std::uint64_t allocs = countedAllocations() - allocs0;
+    const std::uint64_t injected = app.injected() - injected0;
+
+    EXPECT_GT(injected, 2500u);
+    const double per_request =
+        static_cast<double>(allocs) / static_cast<double>(injected);
+    std::printf("%llu allocations for %llu requests: %.4f per request\n",
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(injected), per_request);
+    return per_request;
+}
 
 TEST(AllocBudgetTest, SocialNetworkRequestPathStaysWithinBudget)
 {
@@ -40,25 +72,39 @@ TEST(AllocBudgetTest, SocialNetworkRequestPathStaysWithinBudget)
         workload::UserPopulation::uniform(1000), 43);
     gen.setQps(3000.0);
     gen.start();
-    w.ctx.runFor(kTicksPerSec / 2); // pools and queues grow here
-
-    const std::uint64_t allocs0 = countedAllocations();
-    const std::uint64_t injected0 = w.app->injected();
-    w.ctx.runFor(kTicksPerSec);
-    const std::uint64_t allocs = countedAllocations() - allocs0;
-    const std::uint64_t injected = w.app->injected() - injected0;
+    EXPECT_LE(measuredAllocsPerRequest(*w.app), kBudget);
     gen.stop();
-
-    ASSERT_GT(injected, 2500u);
-    const double per_request =
-        static_cast<double>(allocs) / static_cast<double>(injected);
-    std::printf("%llu allocations for %llu requests: %.2f per request\n",
-                static_cast<unsigned long long>(allocs),
-                static_cast<unsigned long long>(injected), per_request);
-    EXPECT_LE(per_request, kBudget);
 }
 
-/** One event bounced between two shards: every hop is one round. */
+TEST(AllocBudgetTest, PartitionedRequestPathStaysWithinBudget)
+{
+    // uqbench's partition-4 layout: every tier but the entry is homed
+    // round-robin over 4 shards, and a 500 us wire is the lookahead.
+    apps::Scenario scn;
+    scn.shards = 4;
+    apps::WorldConfig c = apps::worldConfigFor(scn);
+    c.netConfig.wireLatency = 500 * kTicksPerUs;
+    apps::WorldHandle h(c, scn.shards, /*threads=*/1,
+                        apps::Deployment::Partition);
+    for (unsigned s = 0; s < scn.shards; ++s)
+        apps::buildScenarioApp(h.shard(s), scn);
+    h.enablePartition({});
+    service::App &app = *h.shard(0).app;
+    workload::OpenLoopGenerator gen(
+        app, workload::QueryMix::fromApp(app),
+        workload::UserPopulation::uniform(1000), 43);
+    gen.setQps(4000.0);
+    gen.start();
+    EXPECT_LE(measuredAllocsPerRequest(app), kPartitionBudget);
+    gen.stop();
+}
+
+/**
+ * Events bounced between two shards: every hop is one round. Each hop
+ * posts a small closure and one larger than an EventCallback holds
+ * (65 B up to the MailCallback capacity) to the peer, and one
+ * same-shard post to itself.
+ */
 struct PingPong
 {
     static constexpr Tick kLookahead = 10;
@@ -66,6 +112,8 @@ struct PingPong
     ParallelSimulator par{{2, kLookahead, 1}};
     std::array<SimContext, 2> ctx{par.context(0), par.context(1)};
     std::uint64_t hops = 0;
+    std::uint64_t large = 0;
+    std::uint64_t local = 0;
 
     void
     bounce(unsigned shard)
@@ -74,6 +122,13 @@ struct PingPong
         const unsigned peer = 1 - shard;
         ctx[shard].postToShard(peer, kLookahead,
                                [this, peer]() { bounce(peer); });
+        std::array<std::uint64_t, 12> payload{};
+        payload[0] = hops;
+        auto big = [this, payload]() { large += payload[0] > 0; };
+        static_assert(!EventCallback::fitsInline<decltype(big)>() &&
+                      MailCallback::fitsInline<decltype(big)>());
+        ctx[shard].postToShard(peer, kLookahead, std::move(big));
+        ctx[shard].postToShard(shard, 1, [this]() { ++local; });
     }
 };
 
@@ -81,14 +136,18 @@ TEST(AllocBudgetTest, CrossShardMailAllocatesNothingAfterWarmUp)
 {
     PingPong p;
     p.ctx[0].schedule(0, [&p]() { p.bounce(0); });
-    p.par.runUntil(1000); // mailboxes and the event pools grow here
+    p.par.runUntil(1000); // outboxes, slots and event pools grow here
 
     const std::uint64_t hops0 = p.hops;
+    const std::uint64_t large0 = p.large;
+    const std::uint64_t local0 = p.local;
     const std::uint64_t allocs0 = countedAllocations();
     p.par.runUntil(31000);
     const std::uint64_t allocs = countedAllocations() - allocs0;
 
     ASSERT_GE(p.hops - hops0, 3000u);
+    EXPECT_GE(p.large - large0, 3000u);
+    EXPECT_GE(p.local - local0, 3000u);
     EXPECT_EQ(allocs, 0u);
 }
 

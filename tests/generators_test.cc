@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/builder.hh"
+#include "core/logging.hh"
 #include "workload/generators.hh"
 
 namespace uqsim::workload {
@@ -30,7 +31,7 @@ buildTrivialApp(apps::World &w, unsigned query_types = 1)
     w.app->addService(std::move(front)).addInstance(w.worker(0));
     w.app->setEntry("front");
     for (unsigned i = 0; i < query_types; ++i)
-        w.app->addQueryType({"q" + std::to_string(i),
+        w.app->addQueryType({strCat("q", i),
                              static_cast<double>(i + 1), 1.0, 0, {}});
     w.app->validate();
 }

@@ -5,9 +5,10 @@
  * The sharded core's contract, exercised without any model on top:
  * a Simulator matches a bare one-shard engine; digests
  * at a fixed shard count never depend on the worker-thread count;
- * cross-shard mail merges in deterministic (when, src, seq) order; and
- * the conservative-lookahead and past-scheduling invariants die loudly
- * when violated.
+ * cross-shard mail merges in deterministic (when, src, seq) order, and
+ * mail still pending when an engine is destroyed is destroyed exactly
+ * once; and the conservative-lookahead and past-scheduling invariants
+ * die loudly when violated.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hh"
@@ -125,6 +127,62 @@ TEST(ParallelTest, MailMergesInDeterministicOrder)
     const std::vector<int> expect{10, 11, 12, 20, 21, 22};
     EXPECT_EQ(run(1), expect);
     EXPECT_EQ(run(2), expect);
+}
+
+/** Counts the destructions of live (not moved-from) instances. */
+struct DestroyCounter
+{
+    explicit DestroyCounter(int &destroyed) : destroyed(&destroyed) {}
+    DestroyCounter(DestroyCounter &&other) noexcept
+        : destroyed(std::exchange(other.destroyed, nullptr))
+    {}
+    ~DestroyCounter()
+    {
+        if (destroyed)
+            ++*destroyed;
+    }
+
+    int *destroyed;
+};
+
+TEST(ParallelTest, EngineTeardownDestroysPendingMailOnce)
+{
+    int destroyed = 0;
+    int ran = 0;
+    {
+        ParallelSimulator par({2, /*lookahead=*/10, 1});
+        SimContext a = par.context(0);
+        SimContext b = par.context(1);
+        // One small closure and one too large for an EventCallback.
+        const std::array<std::uint64_t, 10> pad{};
+        auto post = [&destroyed, &ran, pad](SimContext from, unsigned dst,
+                                             Tick delay) {
+            from.postToShard(dst, delay,
+                             [c = DestroyCounter(destroyed), &ran]() {
+                                 ++ran;
+                             });
+            auto large = [c = DestroyCounter(destroyed), &ran, pad]() {
+                ran += 1 + static_cast<int>(pad[0]);
+            };
+            static_assert(!EventCallback::fitsInline<decltype(large)>());
+            from.postToShard(dst, delay, std::move(large));
+        };
+        // Due at 40: delivered and run inside runUntil(40).
+        a.schedule(30, [&post, a]() { post(a, 1, 10); });
+        // Due at 50 on shard 1 and (same-shard) at 60 on shard 0: in
+        // slots, behind scheduled trampolines, when the run stops.
+        a.schedule(35, [&post, a]() {
+            post(a, 1, 15);
+            post(a, 0, 25);
+        });
+        par.runUntil(40);
+        EXPECT_EQ(ran, 2);
+        EXPECT_EQ(destroyed, 2);
+        // Posted by the driver between runs: still in shard 1's outbox.
+        post(b, 0, 20);
+    }
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(destroyed, 8);
 }
 
 TEST(ParallelTest, FixedShardCountDigestIgnoresThreads)
