@@ -84,7 +84,6 @@ runOnce(double mult, bool controlled, Tick horizon, Tick from,
 
     if (controlled) {
         service::QosConfig qc;
-        qc.policy.enabled = true;
         qc.policy.weights = {100, 1, 1};
         qc.policy.classQueueCapacity = 32;
         qc.batchQueries = {"batch"};

@@ -975,7 +975,6 @@ service::QosConfig
 qosConfigFor(const Scenario &s)
 {
     service::QosConfig c;
-    c.policy.enabled = true;
     c.policy.weights = {s.qosWeightUser, s.qosWeightBatch,
                         s.qosWeightBest};
     c.policy.classQueueCapacity = s.qosQueue;
@@ -1103,8 +1102,8 @@ buildScenarioApp(World &w, const Scenario &s)
     if (s.replicaFactor >= 2)
         w.app->enableReplication(replicationConfigFor(s));
 
-    // So is admission control: without a qos block no class queues
-    // exist and execution matches the legacy single-FIFO digest.
+    // So is admission control: without a qos block every instance
+    // queue stays one FIFO and execution keeps the pinned digests.
     if (s.qosEnabled)
         w.app->enableQos(qosConfigFor(s));
 }

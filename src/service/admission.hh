@@ -22,9 +22,10 @@
  *
  * Like the resilience layer, everything here is passive state advanced
  * lazily from the caller's clock: no object schedules simulator
- * events, decisions draw no randomness, and a disabled policy is never
- * consulted — so the legacy execution digest is preserved bit-for-bit
- * and enabled runs stay deterministic at any shard/thread count.
+ * events and decisions draw no randomness, so enabled runs stay
+ * deterministic at any shard/thread count. Without a class policy the
+ * same queue is a one-class FIFO, so runs without QoS keep the
+ * execution digest of the runtime before admission control.
  */
 
 #ifndef UQSIM_SERVICE_ADMISSION_HH
@@ -34,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,15 +63,11 @@ const char *qosClassName(QosClass c);
 bool qosClassByName(const std::string &name, QosClass &out);
 
 /**
- * Per-service admission policy (set on the ServiceDef, like the
- * protocol and the resilience policy). All defaults off: a ServiceDef
- * without an explicit policy keeps the legacy single-FIFO queue.
+ * The class policy App::enableQos installs into every instance queue.
+ * Until then an instance queue is one FIFO bounded by its tier's limits.
  */
 struct AdmissionPolicy
 {
-    /** Master switch; nothing below is consulted while false. */
-    bool enabled = false;
-
     /**
      * Weighted-round-robin dequeue credits per class. Per grant cycle
      * a backlogged class gets weights[c] of every
@@ -104,8 +102,6 @@ struct AdmissionPolicy
      * only when the backlog reaches the full bound.
      */
     std::array<double, kQosClassCount> shedAt = {1.0, 0.5, 0.25};
-
-    bool active() const { return enabled; }
 };
 
 /**
@@ -175,10 +171,14 @@ enum class AdmissionVerdict : std::uint8_t
 };
 
 /**
- * Per-instance bounded multi-class queue with weighted-round-robin
- * dequeue. Header-only template so the instance's private Arrival
- * record can be stored without a dependency cycle; the closed-form
- * tests instantiate it with plain timestamps.
+ * The request queue of one instance. Until a class policy is installed
+ * it is one FIFO (every item is user-facing) that sheds at the tier's
+ * shedQueueLength and overflows at its queueCapacity. Once installed
+ * (App::enableQos) it is a bounded multi-class queue with weighted-
+ * round-robin dequeue, a token bucket and cost-based shedding.
+ * Header-only template so the instance's private Arrival record can be
+ * stored without a dependency cycle; the closed-form tests instantiate
+ * it with plain timestamps.
  *
  * Determinism: offer()/pop() are pure state machines over the caller's
  * clock — WRR credits instead of randomized selection, lazy bucket
@@ -189,39 +189,64 @@ class AdmissionQueue
 {
   public:
     /**
-     * @p fallback_capacity is the tier's queueCapacity, used when the
-     * policy does not bound classes explicitly. @p now seeds the token
-     * bucket clock.
+     * One FIFO of at most @p capacity items (the tier's queueCapacity,
+     * also the per-class bound a policy may inherit). Only that FIFO
+     * exists until a policy is installed: a deque allocates as it is
+     * made, and queues without QoS never use the other classes.
      */
-    AdmissionQueue(const AdmissionPolicy &pol, unsigned fallback_capacity,
-                   Tick now)
-        : pol_(pol),
-          capacity_(pol.classQueueCapacity ? pol.classQueueCapacity
-                                           : fallback_capacity),
-          bucket_(pol.ratePerInstance, pol.burst)
+    explicit AdmissionQueue(unsigned capacity)
+        : capacity_(capacity), bucket_(0.0, 1.0)
     {
-        bucket_.reset(now);
+        q_[0].emplace();
     }
 
     /**
-     * Decide admission for one class-@p c arrival at @p now: the
-     * throttler first, then the hard per-class bound, then the
-     * cost-based shed thresholds (aggregate backlog vs the class's
-     * fraction of the bound — the check that fires earliest for the
-     * low-priority classes). Only an Admit consumes a token; the
-     * caller must follow it with push().
+     * Govern the queue by class policy @p pol from now on, with a full
+     * token bucket clocked from @p now. The policy is not copied: it
+     * must outlive the queue (the App holds the one every queue uses).
+     */
+    void
+    install(const AdmissionPolicy &pol, Tick now)
+    {
+        pol_ = &pol;
+        if (pol.classQueueCapacity)
+            capacity_ = pol.classQueueCapacity;
+        weights_ = pol.weights;
+        credit_ = {};
+        bucket_ = TokenBucket(pol.ratePerInstance, pol.burst);
+        bucket_.reset(now);
+        for (auto &q : q_)
+            if (!q)
+                q.emplace();
+    }
+
+    /**
+     * Decide admission for one class-@p c arrival at @p now. Without a
+     * policy: Shed once @p shed_length items wait (0 = never), then
+     * Overflow at the capacity. With one: the throttler first, then
+     * the hard per-class bound, then the cost-based shed thresholds
+     * (aggregate backlog vs the class's fraction of the bound — the
+     * check that fires earliest for the low-priority classes); the
+     * FIFO's @p shed_length is not consulted. Only an Admit consumes a
+     * token; the caller must follow it with push() or bypass().
      */
     AdmissionVerdict
-    offer(QosClass c, Tick now)
+    offer(QosClass c, Tick now, std::size_t shed_length = 0)
     {
         const auto idx = static_cast<std::size_t>(c);
+        if (!pol_) {
+            if (shed_length > 0 && total_ >= shed_length)
+                return AdmissionVerdict::Shed;
+            return total_ >= capacity_ ? AdmissionVerdict::Overflow
+                                       : AdmissionVerdict::Admit;
+        }
         if (!bucket_.unlimited() &&
-            !bucket_.tryAcquire(now, qosTokenReserve(pol_, c)))
+            !bucket_.tryAcquire(now, qosTokenReserve(*pol_, c)))
             return AdmissionVerdict::Throttled;
-        if (q_[idx].size() >= capacity_)
+        if (q_[idx]->size() >= capacity_)
             return AdmissionVerdict::Overflow;
         if (total_ >= static_cast<std::size_t>(
-                          pol_.shedAt[idx] *
+                          pol_->shedAt[idx] *
                           static_cast<double>(capacity_)))
             return AdmissionVerdict::Shed;
         return AdmissionVerdict::Admit;
@@ -231,7 +256,7 @@ class AdmissionQueue
     void
     push(QosClass c, Item item)
     {
-        q_[static_cast<std::size_t>(c)].push_back(std::move(item));
+        q_[static_cast<std::size_t>(c)]->push_back(std::move(item));
         ++total_;
     }
 
@@ -250,20 +275,33 @@ class AdmissionQueue
             return false;
         for (;;) {
             for (std::size_t c = 0; c < kQosClassCount; ++c) {
-                if (q_[c].empty() || credit_[c] == 0)
+                if (!q_[c] || q_[c]->empty() || credit_[c] == 0)
                     continue;
                 --credit_[c];
                 cls = static_cast<QosClass>(c);
-                out = std::move(q_[c].front());
-                q_[c].pop_front();
+                out = std::move(q_[c]->front());
+                q_[c]->pop_front();
                 --total_;
                 return true;
             }
             // Every backlogged class is out of credit: grant a fresh
             // cycle (unused credit does not accumulate).
-            for (std::size_t c = 0; c < kQosClassCount; ++c)
-                credit_[c] = pol_.weights[c];
+            credit_ = weights_;
         }
+    }
+
+    /**
+     * Account a class-@p c arrival that an idle instance serves at
+     * once (the queue is empty): it spends the credit the push()/pop()
+     * round trip would have spent, so the WRR order is the same.
+     */
+    void
+    bypass(QosClass c)
+    {
+        const auto idx = static_cast<std::size_t>(c);
+        if (credit_[idx] == 0)
+            credit_ = weights_;
+        --credit_[idx];
     }
 
     std::size_t size() const { return total_; }
@@ -273,7 +311,8 @@ class AdmissionQueue
     std::size_t
     length(QosClass c) const
     {
-        return q_[static_cast<std::size_t>(c)].size();
+        const auto &q = q_[static_cast<std::size_t>(c)];
+        return q ? q->size() : 0;
     }
 
     /** Effective per-class queue bound. */
@@ -284,7 +323,8 @@ class AdmissionQueue
     clear()
     {
         for (auto &q : q_)
-            q.clear();
+            if (q)
+                q->clear();
         total_ = 0;
     }
 
@@ -298,10 +338,14 @@ class AdmissionQueue
     }
 
   private:
-    AdmissionPolicy pol_;
+    /** The installed class policy (null: one FIFO). */
+    const AdmissionPolicy *pol_ = nullptr;
     unsigned capacity_;
     TokenBucket bucket_;
-    std::array<std::deque<Item>, kQosClassCount> q_;
+    /** One FIFO per class; the non-user-facing ones only under a policy. */
+    std::array<std::optional<std::deque<Item>>, kQosClassCount> q_;
+    /** WRR credits per grant cycle; the FIFO's one class gets one. */
+    std::array<unsigned, kQosClassCount> weights_ = {1, 1, 1};
     std::array<unsigned, kQosClassCount> credit_{};
     std::size_t total_ = 0;
 };

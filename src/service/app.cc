@@ -68,10 +68,15 @@ struct CallFrame : PooledFrame<CallFrame>
      * which onRemoteReply (or ~App) takes back.
      */
     bool remoteHeld = false;
+    /**
+     * Outcome of a keyed store access done on another shard (1 = miss,
+     * 2 = hit, 0 = none): on a served frame what goes back in the
+     * delta, on the caller's frame what onReplyArrived publishes.
+     */
+    std::uint8_t remoteHit = 0;
 
     // -- Serving a cross-shard call on its home shard -------------------
     bool served = false;
-    std::uint8_t remoteHit = 0;
     ReplyAddress replyTo;
 
     CallFrame() = default;
@@ -523,8 +528,6 @@ App::crashInstance(const std::string &service_name, unsigned idx)
     // closures), then drop the queue: the process and its state die.
     failInFlight(inst);
     inst.queue_.clear();
-    if (inst.admission_)
-        inst.admission_->clear();
     inst.freeThreads_ = 0;
     if (svc.replicated()) {
         // Replicated tier: the process dies but the group's logical
@@ -553,9 +556,7 @@ App::restartInstance(const std::string &service_name, unsigned idx)
     if (inst.active_)
         return;
     inst.freeThreads_ = svc.def().threadsPerInstance;
-    inst.queue_.clear();
-    if (inst.admission_)
-        inst.admission_->reset(ctx_.now());
+    inst.queue_.reset(ctx_.now());
     inst.active_ = true;
     if (svc.replicated())
         // The restarted member replays the replication log before it
@@ -670,8 +671,6 @@ App::enableReplication(const replica::ReplicationConfig &config)
 void
 App::enableQos(const QosConfig &config)
 {
-    if (!config.policy.enabled)
-        fatal("enableQos: policy.enabled must be true");
     if (qosEnabled_)
         fatal("enableQos called twice");
     // A backlogged zero-weight class would never earn dequeue credit
@@ -708,34 +707,28 @@ App::enableQos(const QosConfig &config)
 
     // Counters are created here, not in the App constructor, so a run
     // without QoS emits exactly the legacy metric set.
+    static constexpr const char *kVerdictNames[] = {"admitted", "throttled",
+                                                    "shed", "overflow"};
     for (unsigned c = 0; c < kQosClassCount; ++c) {
         const char *cls = qosClassName(static_cast<QosClass>(c));
-        admAdmitted_[c] =
-            &metrics_.counter(strCat("admission.admitted.", cls));
+        for (std::size_t v = 0; v < admVerdicts_.size(); ++v)
+            admVerdicts_[v][c] = &metrics_.counter(
+                strCat("admission.", kVerdictNames[v], ".", cls));
         admServed_[c] =
             &metrics_.counter(strCat("admission.served.", cls));
-        admShed_[c] = &metrics_.counter(strCat("admission.shed.", cls));
-        admThrottled_[c] =
-            &metrics_.counter(strCat("admission.throttled.", cls));
-        admOverflow_[c] =
-            &metrics_.counter(strCat("admission.overflow.", cls));
     }
 
-    for (Microservice *svc : serviceOrder_) {
-        svc->mutableDef().admission = config.policy;
+    qosPolicy_ = config.policy;
+    for (Microservice *svc : serviceOrder_)
         for (const auto &inst : svc->instances())
-            inst->admission_ =
-                std::make_unique<AdmissionQueue<Instance::Arrival>>(
-                    config.policy, svc->def().queueCapacity,
-                    ctx_.now());
-    }
+            inst->queue_.install(qosPolicy_, ctx_.now());
     qosEnabled_ = true;
 }
 
 QosClass
 App::qosClassOf(unsigned query_type) const
 {
-    return query_type < queryTypes_.size()
+    return qosEnabled_ && query_type < queryTypes_.size()
                ? queryTypes_[query_type].qosClass
                : QosClass::UserFacing;
 }
@@ -957,40 +950,16 @@ App::onSent(CallFrame &f, std::uint32_t gen, Tick send_busy)
     // hand the attempt to the cross-shard leg. Every path below this
     // point (instance selection, delivery, reply) then runs on the
     // target's home shard.
-    Microservice &tgt = *f.target;
-    if (partitioned_ && tgt.homeShard() != ctx_.shard()) {
+    if (partitioned_ && f.target->homeShard() != ctx_.shard()) {
         remoteAttempt(f, gen);
         return;
     }
 
-    Instance *ti;
-    if (f.route.byKey) {
-        // Keyed mode: the call is addressed to the key's serving
-        // instance — the ring owner, or with replication the group
-        // leader / read-preference pick. Unservable keys fail fast
-        // with a typed status (Unreachable, QuorumLost, StaleRead)
-        // regardless of policy; the client retry loop treats all three
-        // as retryable.
-        RpcStatus key_status = RpcStatus::Ok;
-        ti = tgt.resolveKeyInstance(f.route, ctx_.now(), key_status);
-        if (!ti) {
-            if (key_status == RpcStatus::QuorumLost && rpcQuorumLost_)
-                rpcQuorumLost_->inc();
-            else if (key_status == RpcStatus::StaleRead && rpcStaleRejects_)
-                rpcStaleRejects_->inc();
-            settleAttempt(f, gen, key_status);
-            return;
-        }
-    } else if (f.resilient) {
-        ti = tgt.trySelectInstance(req);
-        if (!ti) {
-            // Outage: nothing active to route to. Fail fast on the
-            // caller instead of aborting the simulation.
-            settleAttempt(f, gen, RpcStatus::Unreachable);
-            return;
-        }
-    } else {
-        ti = &tgt.selectInstance(req);
+    RpcStatus status = RpcStatus::Ok;
+    Instance *ti = pickCallee(f, status);
+    if (!ti) {
+        settleAttempt(f, gen, status);
+        return;
     }
     if (crashTracking_) {
         f.registeredAt = ti;
@@ -1002,6 +971,33 @@ App::onSent(CallFrame &f, std::uint32_t gen, Tick send_busy)
                   [r = CallRef(&f), gen](Tick queueing_tx, Tick prop) {
         r->app->onRequestArrived(*r, gen, queueing_tx, prop);
     });
+}
+
+Instance *
+App::pickCallee(CallFrame &f, RpcStatus &status)
+{
+    Microservice &tgt = *f.target;
+    if (f.route.byKey) {
+        // Keyed mode: the call is addressed to the key's serving
+        // instance — the ring owner, or with replication the group
+        // leader / read-preference pick. Unservable keys fail fast
+        // with a typed status (Unreachable, QuorumLost, StaleRead)
+        // regardless of policy; the client retry loop treats all three
+        // as retryable.
+        Instance *ti = tgt.resolveKeyInstance(f.route, ctx_.now(), status);
+        if (status == RpcStatus::QuorumLost && rpcQuorumLost_)
+            rpcQuorumLost_->inc();
+        else if (status == RpcStatus::StaleRead && rpcStaleRejects_)
+            rpcStaleRejects_->inc();
+        return ti;
+    }
+    if (f.resilient) {
+        // Outage: nothing active to route to. Fail fast on the caller
+        // instead of aborting the simulation.
+        status = RpcStatus::Unreachable;
+        return tgt.trySelectInstance(*f.req);
+    }
+    return &tgt.selectInstance(*f.req);
 }
 
 void
@@ -1068,7 +1064,10 @@ App::onReplyArrived(CallFrame &f, std::uint32_t gen, RpcStatus status,
             f.target->def().protocol.deserializeCost(f.respPayload) +
             recv_tcp;
         f.tcpFrac = tcpShare(recv_tcp, recv_cycles);
-        csrv.execute(recv_cycles, app.kernelIpc(csrv),
+        const double kipc = app.kernelIpc(csrv);
+        app.chargeNetwork(f.callerInst ? &f.callerInst->svc() : nullptr,
+                          static_cast<double>(recv_cycles), kipc);
+        csrv.execute(recv_cycles, kipc,
                      [r = std::move(r), gen, status](Tick recv_busy) {
             CallFrame &f = *r;
             if (f.gen != gen)
@@ -1077,6 +1076,12 @@ App::onReplyArrived(CallFrame &f, std::uint32_t gen, RpcStatus status,
             f.req->tcpProcTime += static_cast<Tick>(
                 f.tcpFrac * static_cast<double>(recv_busy));
             f.callerNet += recv_busy;
+            // Published in the same event that settles the attempt:
+            // settleAttempt unwinds synchronously into the issuing
+            // stage's continuation, so a concurrent sibling's reply
+            // cannot overwrite the outcome before it is read.
+            if (f.remoteHit)
+                f.req->remoteHit = f.remoteHit;
             f.app->settleAttempt(f, gen, status);
         });
     };
@@ -1108,7 +1113,7 @@ App::remoteAttempt(CallFrame &f, std::uint32_t gen)
     call.queryType = req.queryType;
     call.userId = req.userId;
     call.deadline = req.deadline;
-    call.dataKey = f.route.key;
+    call.route = f.route;
     call.traceId = req.traceId;
     call.parentSpan = f.parentSpan;
     call.attemptNo = f.attemptNo;
@@ -1116,9 +1121,6 @@ App::remoteAttempt(CallFrame &f, std::uint32_t gen)
     call.respPayload = f.respPayload;
     call.reqWire = f.reqWire;
     call.respWire = f.respWire;
-    call.routeByKey = f.route.byKey;
-    call.routeIsWrite = f.route.write;
-    call.routeStoreAccess = f.route.storeAccess;
 
     // The leg names this frame by (index, generation) and keeps it
     // alive until onRemoteReply takes the reference back.
@@ -1143,7 +1145,7 @@ App::onRemoteReply(std::uint32_t index, std::uint32_t gen,
     if (f.gen != gen)
         return; // late reply; the caller's timeout already won
     Request &req = *f.req;
-    req.networkTime += d.networkTime + d.replyQueueing;
+    req.networkTime += d.networkTime;
     req.tcpProcTime += d.tcpProcTime;
     req.wireTime += d.wireTime;
     req.appTime += d.appTime;
@@ -1151,32 +1153,10 @@ App::onRemoteReply(std::uint32_t index, std::uint32_t gen,
     req.retries += d.retries;
     if (d.dropped)
         req.dropped = true;
-    f.callerNet += d.replyQueueing;
-    cpu::Server &csrv = cluster_.server(f.callerServer);
-    const Cycles recv_tcp = config_.tcp.recvCost(f.respWire);
-    const Cycles recv_cycles =
-        f.target->def().protocol.deserializeCost(f.respPayload) + recv_tcp;
-    f.tcpFrac = tcpShare(recv_tcp, recv_cycles);
-    const std::uint8_t remote_hit = d.remoteHit;
-    const RpcStatus status = d.status;
-    csrv.execute(recv_cycles, kernelIpc(csrv),
-                 [r = std::move(r), gen, status,
-                  remote_hit](Tick recv_busy) {
-        CallFrame &f = *r;
-        if (f.gen != gen)
-            return;
-        f.req->networkTime += recv_busy;
-        f.req->tcpProcTime += static_cast<Tick>(
-            f.tcpFrac * static_cast<double>(recv_busy));
-        f.callerNet += recv_busy;
-        // Published in the same event that settles the attempt:
-        // settleAttempt unwinds synchronously into the issuing stage's
-        // continuation, so a concurrent sibling's delta cannot
-        // overwrite the outcome before it is read.
-        if (remote_hit)
-            f.req->remoteHit = remote_hit;
-        f.app->settleAttempt(f, gen, status);
-    });
+    f.remoteHit = d.remoteHit;
+    // The local receive step from here on. Its propagation is 0: the
+    // delta's wire time already holds the reply leg's.
+    onReplyArrived(f, gen, d.status, d.replyQueueing, 0);
 }
 
 void
@@ -1315,40 +1295,8 @@ App::serveRemote(const RemoteCall &call)
     rreq->queryType = call.queryType;
     rreq->userId = call.userId;
     rreq->deadline = call.deadline;
-    rreq->dataKey = call.dataKey;
+    rreq->dataKey = call.route.key;
     rreq->traceId = call.traceId;
-
-    data::RouteHint route;
-    route.key = call.dataKey;
-    route.byKey = call.routeByKey;
-    route.write = call.routeIsWrite;
-
-    // The keyed store access the issuing stage could not perform
-    // locally: done here, on the shard that owns the store, with the
-    // outcome shipped back in the delta.
-    std::uint8_t remote_hit = 0;
-    if (call.routeStoreAccess)
-        remote_hit = tgt->keyedAccess(call.dataKey, ctx_.now(),
-                                      call.routeIsWrite)
-                         ? 2
-                         : 1;
-
-    Instance *ti = nullptr;
-    RpcStatus key_status = RpcStatus::Ok;
-    if (route.byKey)
-        ti = tgt->resolveKeyInstance(route, ctx_.now(), key_status);
-    else
-        ti = &tgt->selectInstance(*rreq);
-    if (!ti) {
-        // Unservable key (downed ring owner). Partition mode rejects
-        // fault schedules so this is defensive, but reply rather than
-        // abort: the typed status travels back like any other outcome.
-        RemoteDelta d;
-        d.remoteHit = remote_hit;
-        d.status = key_status;
-        postDelta(call.replyTo, d, network_.config().wireLatency);
-        return;
-    }
 
     // A served frame stands in for the remote caller: the handler
     // replies to it, and its reply leg posts the delta back.
@@ -1356,32 +1304,40 @@ App::serveRemote(const RemoteCall &call)
     f->app = this;
     f->served = true;
     f->replyTo = call.replyTo;
-    f->remoteHit = remote_hit;
     f->target = tgt;
     f->req = std::move(rreq);
     f->parentSpan = call.parentSpan;
+    f->route = call.route;
     f->attemptNo = call.attemptNo;
+    f->reqPayload = call.reqPayload;
     f->respPayload = call.respPayload;
+    f->reqWire = call.reqWire;
     f->respWire = call.respWire;
-    f->callee = ti;
 
-    // Receive-side kernel work for the marshalled message, charged to
-    // the callee exactly as on the local path.
-    const Cycles rr_tcp = config_.tcp.recvCost(call.reqWire);
-    const Cycles recv_cycles =
-        tgt->def().protocol.deserializeCost(call.reqPayload) + rr_tcp;
-    f->tcpFrac = tcpShare(rr_tcp, recv_cycles);
-    const double kipc_t = kernelIpc(ti->server());
-    chargeNetwork(tgt, static_cast<double>(recv_cycles), kipc_t);
-    const std::uint32_t gen = f->gen;
-    ti->server().execute(recv_cycles, kipc_t,
-                         [r = std::move(f), gen](Tick recv_busy) {
-        CallFrame &f = *r;
-        f.req->networkTime += recv_busy;
-        f.req->tcpProcTime += static_cast<Tick>(
-            f.tcpFrac * static_cast<double>(recv_busy));
-        f.app->deliverToInstance(*f.callee, std::move(r), gen, recv_busy);
-    });
+    // The keyed store access the issuing stage could not perform
+    // locally: done here, on the shard that owns the store, with the
+    // outcome shipped back in the delta.
+    if (call.route.storeAccess)
+        f->remoteHit =
+            tgt->keyedAccess(call.route.key, ctx_.now(), call.route.write)
+                ? 2
+                : 1;
+
+    RpcStatus status = RpcStatus::Ok;
+    f->callee = pickCallee(*f, status);
+    if (!f->callee) {
+        // Unservable key (downed ring owner). Partition mode rejects
+        // fault schedules so this is defensive, but reply rather than
+        // abort: the typed status travels back like any other outcome.
+        RemoteDelta d;
+        d.remoteHit = f->remoteHit;
+        d.status = status;
+        postDelta(call.replyTo, d, network_.config().wireLatency);
+        return;
+    }
+    // The local receive step from here on. Its NIC queueing and
+    // propagation are 0: the caller's shard charged the forward leg.
+    onRequestArrived(*f, f->gen, 0, 0);
 }
 
 void
@@ -1423,69 +1379,46 @@ App::deliverToInstance(Instance &inst, CallRef call, std::uint32_t gen,
         return;
     }
 
-    // Admission control (enableQos): the multi-class queue owns all
-    // queue bounds, so the legacy shed/overflow checks below never run
-    // while it is installed. Every refusal is a typed fast-reject on
-    // the reply wire — the caller's breaker and retry budget see an
-    // immediate error, not a timeout.
-    if (inst.admission_) {
-        const QosClass cls = qosClassOf(req.queryType);
-        const auto ci = static_cast<std::size_t>(cls);
-        switch (inst.admission_->offer(cls, ctx_.now())) {
-        case AdmissionVerdict::Admit:
-            break;
-        case AdmissionVerdict::Throttled:
-            admThrottled_[ci]->inc();
-            ++inst.failed_;
-            if (obsTap_)
-                obsTap_->onAdmissionReject(inst.svc());
-            refuse(inst, std::move(call), gen, RpcStatus::Throttled);
-            return;
-        case AdmissionVerdict::Shed:
-            admShed_[ci]->inc();
-            rpcShed_->inc();
-            ++inst.failed_;
-            if (obsTap_)
-                obsTap_->onAdmissionReject(inst.svc());
-            refuse(inst, std::move(call), gen, RpcStatus::Shed);
-            return;
-        case AdmissionVerdict::Overflow:
-            admOverflow_[ci]->inc();
-            ++inst.dropped_;
-            if (obsTap_)
-                obsTap_->onAdmissionReject(inst.svc());
-            refuse(inst, std::move(call), gen, RpcStatus::Overflow);
-            return;
-        }
-        admAdmitted_[ci]->inc();
-        inst.admission_->push(
-            cls, Instance::Arrival{std::move(call), gen, ctx_.now(),
-                                   pre_network});
-        maybeStartHandling(inst);
-        return;
-    }
-
+    // Queue admission. Without QoS the instance queue is one FIFO that
+    // sheds at the tier's shedQueueLength, then overflows at its
+    // queueCapacity; with QoS the class policy decides alone. Every
+    // refusal but a dropped request is a typed fast-reject on the reply
+    // wire — the caller's breaker and retry budget see an immediate
+    // error, not a timeout.
     const rpc::ResiliencePolicy &pol = inst.svc().def().resilience;
-    if (pol.shedQueueLength > 0 &&
-        inst.queue_.size() >= pol.shedQueueLength) {
+    const QosClass cls = qosClassOf(req.queryType);
+    const auto ci = static_cast<std::size_t>(cls);
+    const AdmissionVerdict verdict =
+        inst.queue_.offer(cls, ctx_.now(), pol.shedQueueLength);
+    if (qosEnabled_) {
+        admVerdicts_[static_cast<std::size_t>(verdict)][ci]->inc();
+        if (verdict != AdmissionVerdict::Admit && obsTap_)
+            obsTap_->onAdmissionReject(inst.svc());
+    }
+    switch (verdict) {
+      case AdmissionVerdict::Admit:
+        break;
+      case AdmissionVerdict::Throttled:
+        ++inst.failed_;
+        refuse(inst, std::move(call), gen, RpcStatus::Throttled);
+        return;
+      case AdmissionVerdict::Shed:
         // Load shedding: refuse early with a cheap, retryable error
         // instead of letting the queue grow to the overflow cliff.
         rpcShed_->inc();
         ++inst.failed_;
         refuse(inst, std::move(call), gen, RpcStatus::Shed);
         return;
-    }
-
-    if (inst.queue_.size() >= inst.svc().def().queueCapacity) {
+      case AdmissionVerdict::Overflow:
         ++inst.dropped_;
-        if (!pol.active()) {
-            // Legacy queue overflow: mark the end-to-end request
+        if (!qosEnabled_ && !pol.active()) {
+            // Plain queue overflow: mark the end-to-end request
             // dropped and unwind through the normal reply path.
             req.dropped = true;
             refuse(inst, std::move(call), gen, RpcStatus::Ok);
         } else {
-            // Under a resilience policy, overflow is a retryable
-            // per-attempt error rather than a silent request kill.
+            // Under QoS or a resilience policy, overflow is a
+            // retryable per-attempt error rather than a silent kill.
             refuse(inst, std::move(call), gen, RpcStatus::Overflow);
         }
         return;
@@ -1493,11 +1426,14 @@ App::deliverToInstance(Instance &inst, CallRef call, std::uint32_t gen,
     Instance::Arrival arrival{std::move(call), gen, ctx_.now(), pre_network};
     if (inst.queue_.empty() && inst.freeThreads_ > 0) {
         // A free thread takes it at once: what the queue round trip
-        // below would do, without cycling the deque's blocks.
-        startHandler(inst, arrival, QosClass::UserFacing);
+        // would do, WRR credit included, without cycling deque blocks.
+        inst.queue_.bypass(cls);
+        if (qosEnabled_)
+            admServed_[ci]->inc();
+        startHandler(inst, arrival, cls);
         return;
     }
-    inst.queue_.push_back(std::move(arrival));
+    inst.queue_.push(cls, std::move(arrival));
     maybeStartHandling(inst);
 }
 
@@ -1521,24 +1457,16 @@ App::maybeStartHandling(Instance &inst)
 {
     while (inst.freeThreads_ > 0) {
         Instance::Arrival a;
-        QosClass cls = QosClass::UserFacing;
-        if (inst.admission_) {
-            // Weighted round robin across the class queues.
-            if (!inst.admission_->pop(cls, a))
-                break;
-        } else {
-            if (inst.queue_.empty())
-                break;
-            a = std::move(inst.queue_.front());
-            inst.queue_.pop_front();
-        }
+        QosClass cls;
+        if (!inst.queue_.pop(cls, a))
+            break;
         if (a.call->gen != a.gen) {
             // The caller timed out while this sat in the queue; skip
             // it without burning a worker thread on dead work.
             rpcAbandonedArrivals_->inc();
             continue;
         }
-        if (inst.admission_)
+        if (qosEnabled_)
             admServed_[static_cast<std::size_t>(cls)]->inc();
         startHandler(inst, a, cls);
     }

@@ -134,7 +134,7 @@ struct RemoteCall
     unsigned queryType = 0;
     std::uint64_t userId = 0;
     Tick deadline = 0;
-    std::uint64_t dataKey = 0;
+    data::RouteHint route;
     trace::TraceId traceId = 0;
     trace::SpanId parentSpan = 0;
     unsigned attemptNo = 1;
@@ -142,9 +142,6 @@ struct RemoteCall
     Bytes respPayload = 0;
     Bytes reqWire = 0;
     Bytes respWire = 0;
-    bool routeByKey = false;
-    bool routeIsWrite = false;
-    bool routeStoreAccess = false;
 };
 
 /**
@@ -346,8 +343,9 @@ class App
     /**
      * Serve one marshalled call on this (the target tier's home)
      * shard: rebuild a shard-local Request, perform the keyed store
-     * access when the route asks for one, run the tier's handler, and
-     * post the accounting delta back to the calling shard's frame.
+     * access when the route asks for one, and hand a served frame to
+     * the local receive step; its reply leg posts the accounting
+     * delta back to the calling shard's frame.
      */
     void serveRemote(const RemoteCall &call);
 
@@ -355,17 +353,20 @@ class App
 
     /**
      * Turn on server-side admission control: assign every query type
-     * its QoS class, install the admission policy on every tier and
-     * give every instance a bounded multi-class queue. Call once,
-     * after the graph is built, instances are placed and query types
-     * are registered. Strictly opt-in: without this call no admission
-     * state exists and execution is bit-identical to the legacy
-     * single-FIFO runtime.
+     * its QoS class and install the class policy into every instance
+     * queue (later scale-outs get it too). Call once, after the graph
+     * is built, instances are placed and query types are registered.
+     * Strictly opt-in: without this call every instance queue stays
+     * one FIFO, no admission metric exists, and execution is
+     * bit-identical to the runtime before admission control.
      */
     void enableQos(const QosConfig &config);
 
     /** @return true once enableQos has been called. */
     bool qosEnabled() const { return qosEnabled_; }
+
+    /** The class policy every instance queue holds (once enabled). */
+    const AdmissionPolicy &qosPolicy() const { return qosPolicy_; }
 
     /** QoS class serving a query type (UserFacing while QoS is off). */
     QosClass qosClassOf(unsigned query_type) const;
@@ -536,11 +537,24 @@ class App
     /** Send work done: pick the instance and put the request on the wire. */
     void onSent(CallFrame &f, std::uint32_t gen, Tick send_busy);
 
-    /** Request landed at the callee: receive-side kernel work. */
+    /**
+     * The instance of @p f's target that serves it: by key route, or
+     * by the tier's selection. @return null, with @p status saying
+     * why, when none can.
+     */
+    Instance *pickCallee(CallFrame &f, RpcStatus &status);
+
+    /**
+     * Request landed at the callee: receive-side kernel work. Also the
+     * first step of a cross-shard call on its home shard.
+     */
     void onRequestArrived(CallFrame &f, std::uint32_t gen, Tick queueing_tx,
                           Tick prop);
 
-    /** Reply landed at the caller: receive-side work, then settle. */
+    /**
+     * Reply landed at the caller: receive-side work, then settle. Also
+     * the last step of a cross-shard call on the caller's shard.
+     */
     void onReplyArrived(CallFrame &f, std::uint32_t gen, RpcStatus status,
                         Tick queueing_tx, Tick prop);
 
@@ -548,8 +562,8 @@ class App
      * Cross-shard leg of one attempt: charge the forward NIC/wire leg
      * on the caller, marshal the call, and post it to the target
      * tier's home shard; the home shard posts the delta back to
-     * onRemoteReply, where it merges into the request and settles the
-     * attempt.
+     * onRemoteReply, where it merges into the request and the reply's
+     * receive step settles the attempt.
      */
     void remoteAttempt(CallFrame &f, std::uint32_t gen);
 
@@ -699,6 +713,8 @@ class App
     std::vector<App *> peerApps_;
     /** Admission control armed (enableQos called). */
     bool qosEnabled_ = false;
+    /** The class policy installed into every instance queue. */
+    AdmissionPolicy qosPolicy_;
     /** Replica groups armed (enableReplication called). */
     bool replicationEnabled_ = false;
     replica::ReplicationConfig replicationConfig_;
@@ -745,13 +761,11 @@ class App
     Counter *rpcTxnAborts_ = nullptr;
     /**
      * Admission accounting, created lazily by enableQos so disabled
-     * runs emit exactly the legacy metric set. Indexed by QosClass.
+     * runs emit exactly the legacy metric set. Indexed by QosClass;
+     * the verdict counters first by AdmissionVerdict.
      */
-    std::array<Counter *, kQosClassCount> admAdmitted_{};
+    std::array<std::array<Counter *, kQosClassCount>, 4> admVerdicts_{};
     std::array<Counter *, kQosClassCount> admServed_{};
-    std::array<Counter *, kQosClassCount> admShed_{};
-    std::array<Counter *, kQosClassCount> admThrottled_{};
-    std::array<Counter *, kQosClassCount> admOverflow_{};
     double totalNetworkTime_ = 0.0;
     double totalAppTime_ = 0.0;
 };

@@ -25,7 +25,8 @@ serviceKindName(ServiceKind kind)
 
 Instance::Instance(Microservice &svc, unsigned idx, cpu::Server &server)
     : svc_(svc), idx_(idx), server_(server),
-      freeThreads_(svc.def().threadsPerInstance)
+      freeThreads_(svc.def().threadsPerInstance),
+      queue_(svc.def().queueCapacity)
 {}
 
 double
@@ -65,12 +66,11 @@ Microservice::addInstance(cpu::Server &server)
                      "'"));
     instances_.push_back(std::make_unique<Instance>(
         *this, static_cast<unsigned>(instances_.size()), server));
-    if (def_.admission.active())
+    if (app_.qosEnabled())
         // Scale-outs after enableQos get their own class queues, with
         // a full token bucket clocked from now.
-        instances_.back()->admission_ =
-            std::make_unique<AdmissionQueue<Instance::Arrival>>(
-                def_.admission, def_.queueCapacity, app_.ctx().now());
+        instances_.back()->queue_.install(app_.qosPolicy(),
+                                          app_.ctx().now());
     if (shardMap_)
         // Consistent hashing: the new shard takes over ~1/n of the
         // ring; the moved keys find it cold and warm it up.

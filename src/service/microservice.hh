@@ -12,7 +12,6 @@
 #define UQSIM_SERVICE_MICROSERVICE_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,7 +82,10 @@ struct ServiceDef
     /** Worker threads per instance (concurrency limit). */
     unsigned threadsPerInstance = 16;
 
-    /** Request queue capacity per instance; overflow drops. */
+    /**
+     * Request queue capacity per instance (read when an instance is
+     * made); overflow drops.
+     */
     unsigned queueCapacity = 4096;
 
     /** Protocol used by callers *of* this service. */
@@ -98,13 +100,6 @@ struct ServiceDef
 
     /** Load-balancing policy across instances (stateless tiers). */
     LbPolicy lbPolicy = LbPolicy::RoundRobin;
-
-    /**
-     * Server-side admission control (bounded per-class queues, WRR
-     * dequeue, token bucket, cost-based shedding). Inactive by
-     * default: instances keep the legacy single FIFO.
-     */
-    AdmissionPolicy admission;
 
     /** Default request payload bytes when the caller gives none. */
     Bytes defaultRequestBytes = 512;
@@ -143,10 +138,7 @@ class Instance
     unsigned freeThreads() const { return freeThreads_; }
 
     /** Requests queued for a thread (all QoS classes). */
-    std::size_t queueLength() const
-    {
-        return queue_.size() + (admission_ ? admission_->size() : 0);
-    }
+    std::size_t queueLength() const { return queue_.size(); }
 
     /**
      * RPCs in flight at this instance: admitted and not yet answered,
@@ -209,14 +201,11 @@ class Instance
     bool active_ = true;
 
     unsigned freeThreads_;
-    std::deque<Arrival> queue_;
-
     /**
-     * Multi-class admission queue; null until App::enableQos. While
-     * set it replaces queue_ entirely, so only one of the two holds
-     * work at any time.
+     * Requests waiting for a thread: one FIFO, or the QoS class queues
+     * once App::enableQos installed its policy.
      */
-    std::unique_ptr<AdmissionQueue<Arrival>> admission_;
+    AdmissionQueue<Arrival> queue_;
 
     std::uint64_t served_ = 0;
     std::uint64_t dropped_ = 0;

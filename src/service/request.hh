@@ -98,9 +98,11 @@ struct Request
     /**
      * Outcome of the most recent keyed store access performed on a
      * *remote* shard of a partitioned world: 0 = none, 1 = miss,
-     * 2 = hit. Written by the home shard's delta merge and read by the
-     * caller's cache-stage continuation; both happen inside the same
-     * atomic engine event, so the shared field cannot race.
+     * 2 = hit. The delta merge keeps it on the attempt's own frame;
+     * the reply's receive step writes it here in the event that
+     * settles the attempt, and the caller's cache-stage continuation
+     * reads it in that same event, so a concurrent sibling's reply
+     * cannot overwrite it first.
      */
     std::uint8_t remoteHit = 0;
 

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "core/rng.hh"
 #include "core/simulator.hh"
@@ -29,7 +30,6 @@ AdmissionPolicy
 policyWith(unsigned cap, double rate = 0.0, double burst = 32.0)
 {
     AdmissionPolicy pol;
-    pol.enabled = true;
     pol.classQueueCapacity = cap;
     pol.ratePerInstance = rate;
     pol.burst = burst;
@@ -87,7 +87,8 @@ TEST(AdmissionQueueTest, WeightedRoundRobinOrder)
 {
     AdmissionPolicy pol = policyWith(64);
     pol.weights = {2, 1, 1};
-    AdmissionQueue<int> q(pol, 4096, 0);
+    AdmissionQueue<int> q(4096);
+    q.install(pol, 0);
     for (int i = 0; i < 4; ++i)
         q.push(QosClass::UserFacing, 100 + i);
     for (int i = 0; i < 2; ++i)
@@ -109,11 +110,69 @@ TEST(AdmissionQueueTest, WeightedRoundRobinOrder)
     EXPECT_FALSE(q.pop(cls, item));
 }
 
+TEST(AdmissionQueueTest, IdleBypassSpendsTheSameCredit)
+{
+    // One server fed a mixed-class stream. Queue `fast` lets an
+    // arrival that finds it empty and the server idle skip the queue
+    // (bypass); queue `slow` pushes and pops every arrival. Both must
+    // serve the same sequence: a bypass spends the WRR credit the
+    // round trip would have.
+    AdmissionPolicy pol = policyWith(1024);
+    pol.weights = {2, 1, 1};
+    AdmissionQueue<int> fast(4096), slow(4096);
+    fast.install(pol, 0);
+    slow.install(pol, 0);
+    bool fast_busy = false, slow_busy = false;
+    std::vector<int> fast_order, slow_order;
+    unsigned bypasses = 0;
+    Rng rng(77);
+    int next = 0;
+    for (int step = 0; step < 4000; ++step) {
+        // Alternate busy phases, where a backlog builds, and quiet
+        // ones, where the server idles and arrivals find it so.
+        const double p_arrive = (step / 100) % 2 ? 0.65 : 0.2;
+        if (rng.uniform01() < p_arrive) {
+            const auto cls = static_cast<QosClass>(rng.uniformInt(3));
+            const int item = next++;
+            if (fast.empty() && !fast_busy) {
+                fast.bypass(cls);
+                fast_order.push_back(item);
+                fast_busy = true;
+                ++bypasses;
+            } else {
+                fast.push(cls, item);
+            }
+            slow.push(cls, item);
+            QosClass c;
+            int out = 0;
+            if (!slow_busy && slow.pop(c, out)) {
+                slow_order.push_back(out);
+                slow_busy = true;
+            }
+        } else {
+            // The server finishes its job and takes the next one.
+            QosClass c;
+            int out = 0;
+            fast_busy = fast.pop(c, out);
+            if (fast_busy)
+                fast_order.push_back(out);
+            slow_busy = slow.pop(c, out);
+            if (slow_busy)
+                slow_order.push_back(out);
+        }
+    }
+    EXPECT_GT(bypasses, 100u);
+    EXPECT_GT(fast_order.size(), bypasses + 100);
+    EXPECT_EQ(fast_order, slow_order);
+}
+
 TEST(AdmissionQueueTest, ShedsLowPriorityFirst)
 {
     // cap 16: best-effort sheds at total >= 4, batch at >= 8,
     // user-facing only at >= 16.
-    AdmissionQueue<int> q(policyWith(16), 4096, 0);
+    const AdmissionPolicy pol = policyWith(16);
+    AdmissionQueue<int> q(4096);
+    q.install(pol, 0);
     for (int i = 0; i < 4; ++i) {
         ASSERT_EQ(q.offer(QosClass::BestEffort, 0),
                   AdmissionVerdict::Admit);
@@ -138,7 +197,9 @@ TEST(AdmissionQueueTest, ShedsLowPriorityFirst)
 
 TEST(AdmissionQueueTest, PerClassBoundOverflows)
 {
-    AdmissionQueue<int> q(policyWith(4), 4096, 0);
+    const AdmissionPolicy pol = policyWith(4);
+    AdmissionQueue<int> q(4096);
+    q.install(pol, 0);
     // Fill the batch class directly (bypassing offer) to its bound:
     // the next batch offer is a hard Overflow, checked before the
     // shed thresholds.
@@ -153,9 +214,13 @@ TEST(AdmissionQueueTest, PerClassBoundOverflows)
 
 TEST(AdmissionQueueTest, FallbackCapacityInheritsTier)
 {
-    AdmissionQueue<int> q(policyWith(0), 128, 0);
+    const AdmissionPolicy inherit = policyWith(0);
+    AdmissionQueue<int> q(128);
+    q.install(inherit, 0);
     EXPECT_EQ(q.capacity(), 128u);
-    AdmissionQueue<int> q2(policyWith(16), 128, 0);
+    const AdmissionPolicy own = policyWith(16);
+    AdmissionQueue<int> q2(128);
+    q2.install(own, 0);
     EXPECT_EQ(q2.capacity(), 16u);
 }
 
@@ -189,7 +254,9 @@ simulateMm1k(std::uint64_t seed, double meanServiceTicks, double rho,
     Simulator sim;
     Rng rng(seed);
 
-    AdmissionQueue<Tick> waiting(policyWith(K - 1), 4096, 0);
+    const AdmissionPolicy pol = policyWith(K - 1);
+    AdmissionQueue<Tick> waiting(4096);
+    waiting.install(pol, 0);
     bool busy = false;
     Mm1kResult r;
     std::uint64_t generated = 0;
@@ -284,7 +351,8 @@ simulatePriority(std::uint64_t seed, double meanServiceTicks,
 
     AdmissionPolicy pol = policyWith(1u << 20);
     pol.weights = {10000, 1, 1};
-    AdmissionQueue<Tick> waiting(pol, 4096, 0);
+    AdmissionQueue<Tick> waiting(4096);
+    waiting.install(pol, 0);
 
     const double rho = rhoHigh + rhoLow;
     const double meanInterarrival = meanServiceTicks / rho;

@@ -295,6 +295,53 @@ TEST_F(AppTest, QueueOverflowDropsRequests)
     EXPECT_GT(app.service("front").totalDropped(), 0u);
 }
 
+TEST_F(AppTest, CallerTierIsChargedForEveryKernelStep)
+{
+    // front -> backend. Per request the front tier runs four kernel
+    // steps: it receives the client's request, sends its call,
+    // receives the backend's reply and sends its own reply. Each one
+    // must be charged to it in kernel mode (Fig 14), at the cycles the
+    // protocol and TCP models give for that leg's payload.
+    App &app = *world_.app;
+    ServiceDef backend;
+    backend.name = "backend";
+    backend.protocol = rpc::ProtocolModel::grpc();
+    backend.handler.compute(Dist::constant(50000.0));
+    app.addService(std::move(backend)).addInstance(world_.worker(1));
+    ServiceDef front;
+    front.name = "front";
+    front.kind = ServiceKind::Frontend;
+    front.handler.compute(Dist::constant(40000.0)).call("backend");
+    app.addService(std::move(front)).addInstance(world_.worker(0));
+    app.setEntry("front");
+    app.addQueryType({"q", 1.0, 1.0, 0, {}});
+    app.validate();
+
+    const unsigned requests = 5;
+    for (unsigned i = 0; i < requests; ++i)
+        app.inject(0, i);
+    world_.ctx.run();
+    ASSERT_EQ(app.completed(), requests);
+
+    const net::TcpCostModel &tcp = app.config().tcp;
+    const ServiceDef &f = app.service("front").def();
+    const ServiceDef &b = app.service("backend").def();
+    const auto recv = [&tcp](const rpc::ProtocolModel &p, Bytes payload) {
+        return p.deserializeCost(payload) +
+               tcp.recvCost(p.wireSize(payload));
+    };
+    const auto send = [&tcp](const rpc::ProtocolModel &p, Bytes payload) {
+        return p.serializeCost(payload) + tcp.sendCost(p.wireSize(payload));
+    };
+    const Cycles per_request =
+        recv(f.protocol, app.config().clientRequestBytes) +
+        send(b.protocol, b.defaultRequestBytes) +
+        recv(b.protocol, b.defaultResponseBytes) +
+        send(f.protocol, app.config().clientResponseBytes);
+    EXPECT_EQ(app.service("front").kernelCycles(),
+              static_cast<double>(requests * per_request));
+}
+
 TEST_F(AppTest, ParallelFanoutFasterThanSequential)
 {
     App &app = *world_.app;

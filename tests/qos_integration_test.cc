@@ -6,7 +6,9 @@
  * invariance of QoS-enabled runs, the retry interplay with the
  * client-side resilience layer, and the Fig-19 overload regression —
  * at 10x offered load a controlled deployment keeps user-facing
- * goodput near capacity while the uncontrolled FIFO collapses.
+ * goodput near capacity while the uncontrolled FIFO collapses. The
+ * same instance queue serves both modes, so the FIFO's own verdicts,
+ * scale-outs and crashes are checked here too.
  */
 
 #include <gtest/gtest.h>
@@ -172,13 +174,15 @@ class QosOverloadTest : public ::testing::Test
     }
 
     void
-    buildPair(double backend_us, unsigned backend_threads)
+    buildPair(double backend_us, unsigned backend_threads,
+              unsigned backend_queue = 4096)
     {
         App &app = *world_->app;
         ServiceDef backend;
         backend.name = "backend";
         backend.handler.compute(apps::computeUsConst(backend_us));
         backend.threadsPerInstance = backend_threads;
+        backend.queueCapacity = backend_queue;
         app.addService(std::move(backend)).addInstance(world_->worker(1));
 
         ServiceDef front;
@@ -223,6 +227,12 @@ class QosOverloadTest : public ::testing::Test
         return world_->app->metrics().counter(name).value();
     }
 
+    service::Instance &
+    backendInstance(unsigned idx)
+    {
+        return *world_->app->service("backend").instances()[idx];
+    }
+
     std::unique_ptr<apps::World> world_;
 };
 
@@ -253,7 +263,6 @@ TEST_F(QosOverloadTest, TenXOverloadDegradesGracefullyUnderControl)
         backendPolicy().timeout = 50 * kTicksPerMs;
         if (controlled) {
             QosConfig qc;
-            qc.policy.enabled = true;
             qc.policy.weights = {100, 1, 1};
             qc.policy.classQueueCapacity = 32;
             qc.batchQueries = {"batch"};
@@ -309,7 +318,6 @@ TEST_F(QosOverloadTest, ThrottledRejectionsAreRetryable)
     }
 
     QosConfig qc;
-    qc.policy.enabled = true;
     qc.policy.ratePerInstance = 100.0; // half the offered 200 rps
     qc.policy.burst = 4.0;
     world_->app->enableQos(qc);
@@ -334,6 +342,126 @@ TEST_F(QosOverloadTest, ThrottledRejectionsAreRetryable)
     EXPECT_GT(ok, 150u);
     EXPECT_GT(throttled, 0u);
     EXPECT_EQ(ok + throttled, outcomes.size());
+}
+
+/**
+ * Without QoS the instance queue is one FIFO that checks the tier's
+ * shed length before its capacity. With both at 4 every refusal is a
+ * Shed, and the queue never reaches the overflow that would drop the
+ * request; without shedding the same run does overflow.
+ */
+TEST_F(QosOverloadTest, FifoShedsFirstWhenShedLengthEqualsCapacity)
+{
+    auto run = [&](unsigned shed_length) {
+        rebuild(42);
+        buildPair(/*backend_us=*/1000.0, /*threads=*/1,
+                  /*backend_queue=*/4);
+        backendPolicy().shedQueueLength = shed_length;
+        std::vector<Outcome> outcomes;
+        openLoop(/*query=*/0, /*qps=*/3000.0, kTicksPerSec / 2, outcomes);
+        world_->ctx.run();
+        return outcomes.size();
+    };
+
+    const std::size_t shed_run = run(4);
+    EXPECT_GT(counter("rpc.shed"), 500u);
+    EXPECT_EQ(world_->app->service("backend").totalDropped(), 0u);
+    EXPECT_EQ(world_->app->droppedRequests(), 0u);
+
+    const std::size_t drop_run = run(0);
+    EXPECT_EQ(counter("rpc.shed"), 0u);
+    EXPECT_GT(world_->app->droppedRequests(), 500u);
+    EXPECT_EQ(shed_run, drop_run);
+}
+
+/**
+ * Without QoS but under an active resilience policy, an arrival at a
+ * full FIFO is refused with the typed, retryable Overflow status, not
+ * silently dropped: the caller retries it, and what still fails
+ * reaches the client as Overflow.
+ */
+TEST_F(QosOverloadTest, FifoOverflowUnderResilienceIsTypedOverflow)
+{
+    buildPair(/*backend_us=*/1000.0, /*threads=*/1, /*backend_queue=*/4);
+    backendPolicy().retry.maxAttempts = 2;
+    std::vector<Outcome> outcomes;
+    openLoop(/*query=*/0, /*qps=*/3000.0, kTicksPerSec / 2, outcomes);
+    world_->ctx.run();
+
+    unsigned overflow = 0;
+    for (const Outcome &o : outcomes)
+        if (o.status ==
+            static_cast<std::uint8_t>(trace::SpanStatus::Overflow))
+            ++overflow;
+    EXPECT_GT(world_->app->service("backend").totalDropped(), 1000u);
+    EXPECT_GT(counter("rpc.retries"), 1000u);
+    EXPECT_GT(overflow, 0u);
+    EXPECT_EQ(world_->app->droppedRequests(), 0u);
+    EXPECT_EQ(world_->app->failedRequests(), overflow);
+}
+
+/**
+ * enableQos installs its policy into the queues that exist; an
+ * instance added afterwards gets it too. Both backend instances take
+ * twice the load they can serve: each refuses the excess at its class
+ * bound of 4, where a FIFO would queue all of it.
+ */
+TEST_F(QosOverloadTest, ScaleOutAfterEnableQosIsGoverned)
+{
+    buildPair(/*backend_us=*/1000.0, /*threads=*/1);
+    QosConfig qc;
+    qc.policy.classQueueCapacity = 4;
+    world_->app->enableQos(qc);
+    world_->app->addInstance("backend", world_->worker(1));
+
+    std::vector<Outcome> outcomes;
+    openLoop(/*query=*/0, /*qps=*/4000.0, kTicksPerSec / 2, outcomes);
+    world_->ctx.run();
+
+    for (unsigned idx : {0u, 1u}) {
+        const service::Instance &inst = backendInstance(idx);
+        EXPECT_GT(inst.served(), 400u) << idx;
+        EXPECT_GT(inst.dropped(), 200u) << idx;
+    }
+    EXPECT_EQ(counter("admission.overflow.user-facing"),
+              backendInstance(0).dropped() + backendInstance(1).dropped());
+}
+
+/**
+ * A crash drops the instance's QoS class backlog with its process and
+ * fails the attempts that waited in it; once the run drains no frame
+ * is left in use.
+ */
+TEST_F(QosOverloadTest, CrashClearsQosBacklogAndFramesDrain)
+{
+    buildPair(/*backend_us=*/1000.0, /*threads=*/1);
+    QosConfig qc;
+    qc.policy.classQueueCapacity = 64;
+    qc.batchQueries = {"batch"};
+    world_->app->enableCrashTracking();
+    world_->app->enableQos(qc);
+
+    std::vector<Outcome> outcomes;
+    openLoop(/*query=*/0, /*qps=*/1500.0, kTicksPerSec / 5, outcomes);
+    openLoop(/*query=*/1, /*qps=*/1500.0, kTicksPerSec / 5, outcomes);
+    std::size_t before = 0, after = 0;
+    const Tick crash_at = kTicksPerSec / 10;
+    world_->ctx.scheduleAt(crash_at, [&]() {
+        before = backendInstance(0).queueLength();
+        world_->app->crashInstance("backend", 0);
+        after = backendInstance(0).queueLength();
+    });
+    world_->ctx.scheduleAt(3 * crash_at, [&]() {
+        world_->app->restartInstance("backend", 0);
+    });
+    world_->ctx.run();
+
+    EXPECT_GT(before, 20u);
+    EXPECT_EQ(after, 0u);
+    EXPECT_GE(counter("rpc.crashed_in_flight"), before);
+    EXPECT_EQ(outcomes.size(), world_->app->injected());
+    EXPECT_EQ(world_->app->framesInUse(), 0);
+    EXPECT_EQ(world_->app->liveRequests(), 0);
 }
 
 } // namespace
