@@ -85,27 +85,46 @@ EventQueue::Level<Bits>::firstFrom(std::size_t start) const
 
 EventQueue::~EventQueue()
 {
-    // Collect first: retiring releases nodes, which rewrites `next`.
-    // Nodes are retired one at a time, so a callback's destructor that
-    // drops a handle to a node not yet retired finds it still queued.
-    std::vector<detail::EventNode *> queued;
-    const auto collect = [&queued](const auto &level) {
-        for (std::size_t w = 0; w < level.occ.size(); ++w)
-            for (std::uint64_t bits = level.occ[w]; bits; bits &= bits - 1) {
-                const Chain &c = level.chains[(w << 6) + ctz(bits)];
-                for (detail::EventNode *n = c.head; n; n = n->next)
-                    queued.push_back(n);
-            }
-    };
-    collect(wheel_->fine);
-    collect(wheel_->coarse);
-    for (const HeapEntry &e : heap_)
-        queued.push_back(e.node);
-    for (detail::EventNode *n : queued) {
+    for (detail::EventNode *n : unlinkAll()) {
         n->status = detail::EventStatus::Cancelled;
         retire(n);
     }
     detail::EventPool::unref(pool_);
+}
+
+void
+EventQueue::retireCancelled()
+{
+    if (!empty())
+        panic("EventQueue::retireCancelled with live events queued");
+    for (detail::EventNode *n : unlinkAll())
+        retire(n);
+}
+
+std::vector<detail::EventNode *>
+EventQueue::unlinkAll()
+{
+    // Collect first: retiring releases nodes, which rewrites `next`.
+    // Nodes are retired one at a time, so a callback's destructor that
+    // drops a handle to a node not yet retired finds it still queued.
+    std::vector<detail::EventNode *> queued;
+    const auto take = [&queued](auto &level) {
+        for (std::size_t w = 0; w < level.occ.size(); ++w)
+            for (std::uint64_t bits = level.occ[w]; bits; bits &= bits - 1) {
+                const std::size_t slot = (w << 6) + ctz(bits);
+                for (detail::EventNode *n = level.chains[slot].head; n;
+                     n = n->next)
+                    queued.push_back(n);
+                level.clear(slot);
+            }
+    };
+    take(wheel_->fine);
+    take(wheel_->coarse);
+    for (const HeapEntry &e : heap_)
+        queued.push_back(e.node);
+    heap_.clear();
+    peeked_ = nullptr;
+    return queued;
 }
 
 void

@@ -278,6 +278,14 @@ class EventQueue
     /** @return true if no live (uncancelled) events remain. */
     bool empty() const { return pool_->liveCount == 0; }
 
+    /**
+     * Retire the cancelled events a drained queue still holds: their
+     * callbacks, and what those own, are destroyed now instead of when
+     * a later scan passes their ticks or the queue dies.
+     * @pre empty()
+     */
+    void retireCancelled();
+
     /** @return number of live events currently queued. */
     std::size_t size() const { return pool_->liveCount; }
 
@@ -420,6 +428,9 @@ class EventQueue
 
     /** Drop cancelled entries from the top of the overflow heap. */
     void purgeHeapTop() const;
+
+    /** Empty the wheel and the heap: @return every node they held. */
+    std::vector<detail::EventNode *> unlinkAll();
 
     /**
      * Destroy a node's callback in place, then mark the node unqueued

@@ -312,6 +312,10 @@ ParallelSimulator::run()
             break;
         runRound(satAdd(min_next, lookahead_));
     }
+    // Drained: a cancelled timeout still holds its closure, and the
+    // call that closure keeps alive, until a scan passes its tick.
+    for (auto &s : shards_)
+        s->queue.retireCancelled();
 }
 
 void

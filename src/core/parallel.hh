@@ -133,7 +133,8 @@ class ParallelSimulator
     void addClockObserver(unsigned shard, Tick interval,
                           ClockObserverFn fn);
 
-    /** Run until every queue and outbox drains. */
+    /** Run until every queue and outbox drains, then retire the
+     *  cancelled events the queues still hold. */
     void run();
 
     /**

@@ -1,7 +1,6 @@
 #include "data/cache_model.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "core/logging.hh"
 
@@ -14,6 +13,17 @@ bump(Counter *c)
 {
     if (c)
         c->inc();
+}
+
+/** Make room for one more element: double @p v's capacity, from 16
+ *  and never past @p limit elements. */
+template <typename T>
+void
+reserveOneMore(std::vector<T> &v, std::uint64_t limit)
+{
+    if (v.size() == v.capacity())
+        v.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+            std::max<std::size_t>(2 * v.size(), 16), limit)));
 }
 
 } // namespace
@@ -99,24 +109,24 @@ CacheModel::bindMetrics(MetricsRegistry &m, const std::string &tier)
 }
 
 bool
-CacheModel::expired(const Entry &e, Tick now) const
+CacheModel::expired(const Slot &s, Tick now) const
 {
-    return config_.ttl != 0 && now >= e.written + config_.ttl;
+    return config_.ttl != 0 && now >= s.written + config_.ttl;
 }
 
 bool
 CacheModel::access(std::uint64_t key, Tick now)
 {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        if (expired(it->second, now)) {
-            eraseEntry(key, it->second);
+    const std::uint32_t i = find(key);
+    if (i != kNil) {
+        if (expired(slots_[i], now)) {
+            erase(i);
             ++stats_.expirations;
             bump(expirations_);
         } else {
             ++stats_.hits;
             bump(hits_);
-            touch(key, it->second);
+            touch(i);
             return true;
         }
     }
@@ -131,18 +141,18 @@ CacheModel::write(std::uint64_t key, Tick now)
 {
     ++stats_.writes;
     bump(writes_);
-    auto it = entries_.find(key);
+    const std::uint32_t i = find(key);
     if (config_.write == WritePolicy::Through) {
-        if (it != entries_.end()) {
-            it->second.written = now;
-            touch(key, it->second);
+        if (i != kNil) {
+            slots_[i].written = now;
+            touch(i);
         } else {
             insert(key, now);
         }
         return;
     }
-    if (it != entries_.end()) {
-        eraseEntry(key, it->second);
+    if (i != kNil) {
+        erase(i);
         ++stats_.invalidations;
         bump(invalidations_);
     }
@@ -151,10 +161,13 @@ CacheModel::write(std::uint64_t key, Tick now)
 void
 CacheModel::clearCold()
 {
-    entries_.clear();
-    recency_[0].clear();
-    recency_[1].clear();
-    freqBuckets_.clear();
+    slots_.clear();
+    freeSlot_ = kNil;
+    live_ = 0;
+    segments_[0] = segments_[1] = List{};
+    buckets_.clear();
+    freeBucket_ = coldest_ = kNil;
+    std::fill(index_.begin(), index_.end(), kNil);
     ++stats_.coldRestarts;
     bump(coldRestarts_);
 }
@@ -162,57 +175,76 @@ CacheModel::clearCold()
 std::uint64_t
 CacheModel::dropWrittenAfter(Tick cutoff)
 {
-    // Collect first: erasing while iterating an unordered_map is UB-
-    // adjacent, and a sorted victim list keeps the walk deterministic
-    // across library implementations (the final store state is
-    // order-independent, but determinism should not rest on that).
-    std::vector<std::uint64_t> victims;
-    for (const auto &[key, e] : entries_)
-        if (e.written > cutoff)
-            victims.push_back(key);
-    std::sort(victims.begin(), victims.end());
-    for (std::uint64_t key : victims) {
-        eraseEntry(key, entries_.find(key)->second);
-        ++stats_.replayDrops;
-        if (replayDrops_)
-            replayDrops_->inc();
+    // Slab order: erasing frees a slot but moves none, and the lists
+    // end in the same order whatever order their victims leave in.
+    std::uint64_t dropped = 0;
+    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+        if (slots_[i].list == kNil || slots_[i].written <= cutoff)
+            continue;
+        erase(i);
+        ++dropped;
     }
-    return victims.size();
+    stats_.replayDrops += dropped;
+    if (replayDrops_)
+        replayDrops_->inc(dropped);
+    return dropped;
+}
+
+std::uint32_t
+CacheModel::find(std::uint64_t key) const
+{
+    return index_.empty() ? kNil : index_[probe(key)];
 }
 
 void
-CacheModel::eraseEntry(std::uint64_t key, Entry &e)
+CacheModel::erase(std::uint32_t i)
 {
-    if (config_.policy == CachePolicy::Lfu) {
-        auto bit = freqBuckets_.find(e.freq);
-        bit->second.erase(e.where);
-        if (bit->second.empty())
-            freqBuckets_.erase(bit);
-    } else {
-        recency_[e.segment].erase(e.where);
-    }
-    entries_.erase(key);
+    Slot &s = slots_[i];
+    unindex(probe(s.key));
+    unlink(listOf(s), i);
+    if (config_.policy == CachePolicy::Lfu &&
+        buckets_[s.list].keys.size == 0)
+        dropBucket(s.list);
+    s.list = kNil;
+    s.next = freeSlot_;
+    freeSlot_ = i;
+    --live_;
 }
 
 void
 CacheModel::insert(std::uint64_t key, Tick now)
 {
-    while (entries_.size() >= config_.capacity)
+    while (live_ >= config_.capacity)
         evictOne();
-    Entry e;
-    e.written = now;
+    if (2 * (live_ + 1) > index_.size())
+        growIndex();
+
+    std::uint32_t i = freeSlot_;
+    if (i != kNil) {
+        freeSlot_ = slots_[i].next;
+    } else {
+        if (slots_.size() == kNil - 1)
+            fatal("CacheModel: more than 2^32 - 2 resident keys");
+        reserveOneMore(slots_, config_.capacity);
+        i = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    Slot &s = slots_[i];
+    s.key = key;
+    s.written = now;
+    index_[probe(key)] = i;
+    ++live_;
+
     if (config_.policy == CachePolicy::Lfu) {
-        e.freq = 1;
-        auto &bucket = freqBuckets_[1];
-        bucket.push_back(key);
-        e.where = std::prev(bucket.end());
+        if (coldest_ == kNil || buckets_[coldest_].freq != 1)
+            newBucket(1, kNil);
+        s.list = coldest_;
+        pushBack(buckets_[coldest_].keys, i);
     } else {
         // LRU and SLRU both install at the probation/recency head.
-        recency_[0].push_front(key);
-        e.where = recency_[0].begin();
-        e.segment = 0;
+        s.list = 0;
+        pushFront(segments_[0], i);
     }
-    entries_.emplace(key, e);
     ++stats_.inserts;
     bump(inserts_);
 }
@@ -220,69 +252,211 @@ CacheModel::insert(std::uint64_t key, Tick now)
 void
 CacheModel::evictOne()
 {
-    std::uint64_t victim = 0;
+    std::uint32_t victim = kNil;
     switch (config_.policy) {
       case CachePolicy::Lru:
-        victim = recency_[0].back();
+        victim = segments_[0].tail;
         break;
       case CachePolicy::SegmentedLru:
         // Probation evicts first; the protected segment is only
         // raided when probation is empty.
-        victim = recency_[0].empty() ? recency_[1].back()
-                                     : recency_[0].back();
+        victim = segments_[0].size ? segments_[0].tail
+                                   : segments_[1].tail;
         break;
       case CachePolicy::Lfu:
         // Coldest frequency bucket, FIFO within it.
-        victim = freqBuckets_.begin()->second.front();
+        victim = buckets_[coldest_].keys.head;
         break;
     }
-    auto it = entries_.find(victim);
-    eraseEntry(victim, it->second);
+    erase(victim);
     ++stats_.evictions;
     bump(evictions_);
 }
 
 void
-CacheModel::touch(std::uint64_t key, Entry &e)
+CacheModel::touch(std::uint32_t i)
 {
+    Slot &s = slots_[i];
     switch (config_.policy) {
       case CachePolicy::Lru:
-        recency_[0].splice(recency_[0].begin(), recency_[0], e.where);
+        unlink(segments_[0], i);
+        pushFront(segments_[0], i);
         return;
       case CachePolicy::Lfu: {
-        auto bit = freqBuckets_.find(e.freq);
-        bit->second.erase(e.where);
-        if (bit->second.empty())
-            freqBuckets_.erase(bit);
-        ++e.freq;
-        auto &bucket = freqBuckets_[e.freq];
-        bucket.push_back(key);
-        e.where = std::prev(bucket.end());
+        const std::uint32_t b = s.list;
+        const std::uint64_t freq = buckets_[b].freq + 1;
+        std::uint32_t next = buckets_[b].next;
+        if (next == kNil || buckets_[next].freq != freq) {
+            if (buckets_[b].keys.size == 1) {
+                // The key's own bucket becomes f + 1 in place.
+                buckets_[b].freq = freq;
+                return;
+            }
+            next = newBucket(freq, b);
+        }
+        unlink(buckets_[b].keys, i);
+        if (buckets_[b].keys.size == 0)
+            dropBucket(b);
+        s.list = next;
+        pushBack(buckets_[next].keys, i);
         return;
       }
       case CachePolicy::SegmentedLru:
-        if (e.segment == 1) {
-            recency_[1].splice(recency_[1].begin(), recency_[1],
-                               e.where);
+        if (s.list == 1) {
+            unlink(segments_[1], i);
+            pushFront(segments_[1], i);
             return;
         }
         // Promotion on a probation hit; the protected segment demotes
         // its own LRU tail back to probation when over budget.
-        recency_[0].erase(e.where);
-        recency_[1].push_front(key);
-        e.where = recency_[1].begin();
-        e.segment = 1;
-        if (recency_[1].size() > protectedCapacity_ &&
-            recency_[1].size() > 1) {
-            const std::uint64_t demoted = recency_[1].back();
-            recency_[1].pop_back();
-            recency_[0].push_front(demoted);
-            Entry &d = entries_.find(demoted)->second;
-            d.where = recency_[0].begin();
-            d.segment = 0;
+        unlink(segments_[0], i);
+        s.list = 1;
+        pushFront(segments_[1], i);
+        if (segments_[1].size > protectedCapacity_ &&
+            segments_[1].size > 1) {
+            const std::uint32_t demoted = segments_[1].tail;
+            unlink(segments_[1], demoted);
+            slots_[demoted].list = 0;
+            pushFront(segments_[0], demoted);
         }
         return;
     }
+}
+
+CacheModel::List &
+CacheModel::listOf(const Slot &s)
+{
+    return config_.policy == CachePolicy::Lfu ? buckets_[s.list].keys
+                                              : segments_[s.list];
+}
+
+void
+CacheModel::pushFront(List &l, std::uint32_t i)
+{
+    Slot &s = slots_[i];
+    s.prev = kNil;
+    s.next = l.head;
+    if (l.head != kNil)
+        slots_[l.head].prev = i;
+    else
+        l.tail = i;
+    l.head = i;
+    ++l.size;
+}
+
+void
+CacheModel::pushBack(List &l, std::uint32_t i)
+{
+    Slot &s = slots_[i];
+    s.prev = l.tail;
+    s.next = kNil;
+    if (l.tail != kNil)
+        slots_[l.tail].next = i;
+    else
+        l.head = i;
+    l.tail = i;
+    ++l.size;
+}
+
+void
+CacheModel::unlink(List &l, std::uint32_t i)
+{
+    const Slot &s = slots_[i];
+    if (s.prev != kNil)
+        slots_[s.prev].next = s.next;
+    else
+        l.head = s.next;
+    if (s.next != kNil)
+        slots_[s.next].prev = s.prev;
+    else
+        l.tail = s.prev;
+    --l.size;
+}
+
+std::uint32_t
+CacheModel::newBucket(std::uint64_t freq, std::uint32_t prev)
+{
+    std::uint32_t b = freeBucket_;
+    if (b != kNil) {
+        freeBucket_ = buckets_[b].next;
+    } else {
+        reserveOneMore(buckets_, config_.capacity);
+        b = static_cast<std::uint32_t>(buckets_.size());
+        buckets_.emplace_back();
+    }
+    Bucket &k = buckets_[b];
+    k.freq = freq;
+    k.keys = List{};
+    k.prev = prev;
+    k.next = prev == kNil ? coldest_ : buckets_[prev].next;
+    if (k.next != kNil)
+        buckets_[k.next].prev = b;
+    if (prev == kNil)
+        coldest_ = b;
+    else
+        buckets_[prev].next = b;
+    return b;
+}
+
+void
+CacheModel::dropBucket(std::uint32_t b)
+{
+    Bucket &k = buckets_[b];
+    if (k.prev != kNil)
+        buckets_[k.prev].next = k.next;
+    else
+        coldest_ = k.next;
+    if (k.next != kNil)
+        buckets_[k.next].prev = k.prev;
+    k.next = freeBucket_;
+    freeBucket_ = b;
+}
+
+std::size_t
+CacheModel::home(std::uint64_t key) const
+{
+    // Fibonacci hashing: the top bits of the product depend on every
+    // bit of the key, so dense key ids spread over the whole table.
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                    indexShift_);
+}
+
+std::size_t
+CacheModel::probe(std::uint64_t key) const
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t c = home(key);
+    while (index_[c] != kNil && slots_[index_[c]].key != key)
+        c = (c + 1) & mask;
+    return c;
+}
+
+void
+CacheModel::unindex(std::size_t hole)
+{
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t c = (hole + 1) & mask; index_[c] != kNil;
+         c = (c + 1) & mask) {
+        // The cell may move back into the hole if the hole lies on its
+        // probe path, from its home cell up to c.
+        const std::size_t want = home(slots_[index_[c]].key);
+        if (((c - want) & mask) >= ((c - hole) & mask)) {
+            index_[hole] = index_[c];
+            hole = c;
+        }
+    }
+    index_[hole] = kNil;
+}
+
+void
+CacheModel::growIndex()
+{
+    const std::size_t cells = index_.empty() ? 16 : 2 * index_.size();
+    index_.assign(cells, kNil);
+    indexShift_ = 64 - static_cast<unsigned>(__builtin_ctzll(cells));
+    for (std::uint32_t i = 0; i < slots_.size(); ++i)
+        if (slots_[i].list != kNil)
+            index_[probe(slots_[i].key)] = i;
 }
 
 } // namespace uqsim::data

@@ -14,19 +14,45 @@
  * The model is fill-on-miss (cache-aside): a read miss installs the
  * key immediately, as trace-driven cache simulators do; fill latency
  * is modelled by the database RPC the handler issues on the miss, not
- * inside the cache. All bookkeeping is deterministic: replacement
- * order derives from lists and ordered maps only, never from
- * unordered-container iteration.
+ * inside the cache.
+ *
+ * Layout. Each resident key is one slot of a flat slab (a vector with
+ * a free list of vacated slots): the key, its written time, uint32
+ * prev/next links and the list that holds it. Every replacement order
+ * is a doubly linked list threaded through those links:
+ *
+ *  - LRU: one recency list, most recent at the head;
+ *  - SLRU: the probation and protected segments, each such a list;
+ *  - LFU: one FIFO list per frequency bucket. The buckets form a
+ *    pooled list of their own, in ascending frequency, so the coldest
+ *    bucket is its head; a touch moves a key to the bucket of f + 1,
+ *    made right after f's when there is none.
+ *
+ * A key finds its slot through an open-addressing table of slot
+ * indices: a power-of-two size, linear probing from a multiplicative
+ * hash, deletion by backward shift, and at most half full.
+ *
+ * Determinism. Every replacement decision reads list order only,
+ * which each operation updates exactly as the node-based reference
+ * model of tests/data_test.cc does; slot and bucket indices and the
+ * table layout decide nothing. dropWrittenAfter() walks the slab, and
+ * removing a set of keys from linked lists leaves the same order
+ * whatever the order of removal.
+ *
+ * Allocation. The slab, the bucket pool and the table grow
+ * geometrically on demand (the slab and the pool never past
+ * `capacity` entries; nothing is reserved up front) and clearCold()
+ * keeps what they hold. Once they have grown, access, write, eviction,
+ * promotion, demotion, expiry, clearCold() and dropWrittenAfter()
+ * allocate nothing.
  */
 
 #ifndef UQSIM_DATA_CACHE_MODEL_HH
 #define UQSIM_DATA_CACHE_MODEL_HH
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "core/metrics.hh"
 #include "core/types.hh"
@@ -136,39 +162,97 @@ class CacheModel
     std::uint64_t dropWrittenAfter(Tick cutoff);
 
     /** Resident entries right now. */
-    std::uint64_t size() const { return entries_.size(); }
+    std::uint64_t size() const { return live_; }
 
     const CacheStats &stats() const { return stats_; }
 
   private:
-    struct Entry
+    /** No slot, no bucket; an empty table cell. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
+    /** One resident key (a free slot has list == kNil). */
+    struct Slot
     {
-        /** Position in the recency list of segment_ (LRU/SLRU). */
-        std::list<std::uint64_t>::iterator where;
-        /** Which SLRU segment holds the key (0 probation, 1 protected). */
-        std::uint8_t segment = 0;
-        /** Access count (LFU). */
-        std::uint64_t freq = 0;
+        std::uint64_t key = 0;
         /** Insert/refresh time for TTL expiry. */
         Tick written = 0;
+        /** Neighbours in the slot's list; next also threads the free
+         *  list. */
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+        /** LRU/SLRU: the segment (0 probation/LRU, 1 protected).
+         *  LFU: the frequency bucket. */
+        std::uint32_t list = kNil;
     };
 
-    bool expired(const Entry &e, Tick now) const;
-    void eraseEntry(std::uint64_t key, Entry &e);
+    /** A doubly linked list of slots. */
+    struct List
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint32_t size = 0;
+    };
+
+    /** An LFU frequency bucket: its keys, oldest at the head. */
+    struct Bucket
+    {
+        std::uint64_t freq = 0;
+        List keys;
+        /** Neighbours in ascending frequency; next also threads the
+         *  free list. */
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+    };
+
+    bool expired(const Slot &s, Tick now) const;
+    /** Slot holding @p key, or kNil. */
+    std::uint32_t find(std::uint64_t key) const;
+    /** Remove slot @p i from its list and the index, and free it. */
+    void erase(std::uint32_t i);
     /** Install @p key, evicting per policy if at capacity. */
     void insert(std::uint64_t key, Tick now);
     void evictOne();
-    /** Move @p key to the front of its recency order after a hit. */
-    void touch(std::uint64_t key, Entry &e);
+    /** Move slot @p i to the front of its recency order after a hit. */
+    void touch(std::uint32_t i);
+
+    List &listOf(const Slot &s);
+    void pushFront(List &l, std::uint32_t i);
+    void pushBack(List &l, std::uint32_t i);
+    void unlink(List &l, std::uint32_t i);
+
+    /** A free bucket of frequency @p freq, linked after @p prev (at
+     *  the head for kNil). */
+    std::uint32_t newBucket(std::uint64_t freq, std::uint32_t prev);
+    /** Unlink the empty bucket @p b and free it. */
+    void dropBucket(std::uint32_t b);
+
+    /** Home cell of @p key in the index. */
+    std::size_t home(std::uint64_t key) const;
+    /** Index cell holding @p key, or the empty cell ending its probe. */
+    std::size_t probe(std::uint64_t key) const;
+    /** Empty cell @p hole, shifting the cells after it back. */
+    void unindex(std::size_t hole);
+    /** Double the index (or make its first cells). */
+    void growIndex();
 
     CacheModelConfig config_;
     std::uint64_t protectedCapacity_ = 0;
 
-    std::unordered_map<std::uint64_t, Entry> entries_;
-    /** Recency lists, MRU at front: [0] probation/LRU, [1] protected. */
-    std::list<std::uint64_t> recency_[2];
-    /** LFU frequency buckets, FIFO within a bucket; begin() = coldest. */
-    std::map<std::uint64_t, std::list<std::uint64_t>> freqBuckets_;
+    /** The slab: resident keys and vacated slots. */
+    std::vector<Slot> slots_;
+    std::uint32_t freeSlot_ = kNil;
+    std::uint64_t live_ = 0;
+    /** Recency lists, MRU at the head: [0] probation/LRU, [1]
+     *  protected. */
+    List segments_[2];
+    /** LFU buckets and the head of their list (the coldest). */
+    std::vector<Bucket> buckets_;
+    std::uint32_t freeBucket_ = kNil;
+    std::uint32_t coldest_ = kNil;
+    /** Slot indices by key hash (kNil = empty). */
+    std::vector<std::uint32_t> index_;
+    /** 64 - log2(index_.size()): home() keeps the hash's top bits. */
+    unsigned indexShift_ = 64;
 
     CacheStats stats_;
     /** Shared tier counters (null until bindMetrics). */

@@ -440,8 +440,9 @@ class App
     /**
      * Handler contexts (HandlerFrames), requests (RequestFrames) and
      * call frames (CallFrames plus HandlerFrames) of this App still
-     * alive. Once the engine has run out of events all are zero;
-     * anything left over is held by a reference cycle and leaks.
+     * alive. Once run() has drained the engine, which retires the
+     * cancelled events too, all are zero; anything left over is held
+     * by a reference cycle and leaks.
      */
     std::int64_t liveHandlerContexts() const;
     std::int64_t liveRequests() const;

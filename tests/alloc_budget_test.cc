@@ -11,7 +11,10 @@
  * rare growth of a queue or a pool. A second case splits the same
  * graph over four shards on one thread, where every cross-shard leg
  * carries its closures inline, and holds it to kPartitionBudget. A
- * third bounces events between two shards and checks that, once the
+ * third adds uqbench social-keyed-rw's layers (keyed SLRU stores,
+ * 3-way replicas, QoS classes) and holds it to kKeyedBudget: a cache
+ * store only allocates while its slab and index grow. A fourth
+ * bounces events between two shards and checks that, once the
  * outboxes and slot pools have grown, mail of every inline size and
  * same-shard posts allocate nothing.
  */
@@ -36,6 +39,10 @@ constexpr double kBudget = 0.01;
 /** The same for a 4-shard partitioned world, whose four shards' queues
  *  and pools are still growing now and then after the warm-up. */
 constexpr double kPartitionBudget = 0.05;
+
+/** The same with keyed cache stores, replicas and QoS, whose stores
+ *  are still filling up to their capacity after the warm-up. */
+constexpr double kKeyedBudget = 0.05;
 
 /**
  * Run @p app's world for a 0.5 s warm-up, then one measured second:
@@ -96,6 +103,33 @@ TEST(AllocBudgetTest, PartitionedRequestPathStaysWithinBudget)
     gen.setQps(4000.0);
     gen.start();
     EXPECT_LE(measuredAllocsPerRequest(app), kPartitionBudget);
+    gen.stop();
+}
+
+TEST(AllocBudgetTest, KeyedReplicatedRequestPathStaysWithinBudget)
+{
+    // uqbench's social-keyed-rw layers: 100k Zipf(1) keys on SLRU
+    // stores with invalidating writes, 3-way replica groups read
+    // read-your-writes, and QoS classes.
+    apps::Scenario scn;
+    scn.dataKeys = 100000;
+    scn.dataPopularity = "zipf";
+    scn.dataZipfS = 1.0;
+    scn.dataPolicy = "slru";
+    scn.dataWrite = "invalidate";
+    scn.replicaFactor = 3;
+    scn.replicaRead = "ryw";
+    scn.qosEnabled = true;
+    scn.qosBatch = "composePost-image,composePost-video";
+    scn.qosBestEffort = "repost";
+    apps::World w(apps::worldConfigFor(scn));
+    apps::buildScenarioApp(w, scn);
+    workload::OpenLoopGenerator gen(
+        *w.app, workload::QueryMix::fromApp(*w.app),
+        workload::UserPopulation::uniform(1000), 43);
+    gen.setQps(3000.0);
+    gen.start();
+    EXPECT_LE(measuredAllocsPerRequest(*w.app), kKeyedBudget);
     gen.stop();
 }
 

@@ -4,16 +4,20 @@
  * blocks: key popularity laws (chi-square against the closed-form
  * oracle), exact-trace replacement behaviour of the cache models
  * (LRU/LFU/SLRU, TTL, write policies, cold restarts), consistent-hash
- * shard placement (determinism, balance, minimal remap), and the Che
+ * shard placement (determinism, balance, minimal remap), the Che
  * approximation check that ties the emergent LRU hit ratio under IRM
- * Zipf traffic to queueing-theory ground truth.
+ * Zipf traffic to queueing-theory ground truth, and a differential
+ * test of the slab store against a node-based reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <list>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "core/rng.hh"
@@ -296,6 +300,300 @@ TEST(CacheModelTest, DropWrittenAfterTrimsExactlyTheLogTail)
 
     // Trimming at or past the newest write is a no-op.
     EXPECT_EQ(m.dropWrittenAfter(1000), 0u);
+}
+
+// -- differential store test --------------------------------------------
+
+/**
+ * The node-based store CacheModel replaced: std::list recency lists
+ * and a std::map of LFU frequency buckets, found through an
+ * unordered_map. Same decisions, same counters (no registry).
+ */
+class ReferenceCacheModel
+{
+  public:
+    explicit ReferenceCacheModel(CacheModelConfig config) : config_(config)
+    {
+        if (config_.policy == CachePolicy::SegmentedLru) {
+            const double frac =
+                std::clamp(config_.protectedFraction, 0.0, 1.0);
+            protectedCapacity_ = std::min<std::uint64_t>(
+                config_.capacity - 1,
+                static_cast<std::uint64_t>(
+                    frac * static_cast<double>(config_.capacity)));
+        }
+    }
+
+    bool
+    access(std::uint64_t key, Tick now)
+    {
+        auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            if (expired(it->second, now)) {
+                eraseEntry(key, it->second);
+                ++stats_.expirations;
+            } else {
+                ++stats_.hits;
+                touch(key, it->second);
+                return true;
+            }
+        }
+        ++stats_.misses;
+        insert(key, now);
+        return false;
+    }
+
+    void
+    write(std::uint64_t key, Tick now)
+    {
+        ++stats_.writes;
+        auto it = entries_.find(key);
+        if (config_.write == WritePolicy::Through) {
+            if (it != entries_.end()) {
+                it->second.written = now;
+                touch(key, it->second);
+            } else {
+                insert(key, now);
+            }
+            return;
+        }
+        if (it != entries_.end()) {
+            eraseEntry(key, it->second);
+            ++stats_.invalidations;
+        }
+    }
+
+    void
+    clearCold()
+    {
+        entries_.clear();
+        recency_[0].clear();
+        recency_[1].clear();
+        freqBuckets_.clear();
+        ++stats_.coldRestarts;
+    }
+
+    std::uint64_t
+    dropWrittenAfter(Tick cutoff)
+    {
+        std::vector<std::uint64_t> victims;
+        for (const auto &[key, e] : entries_)
+            if (e.written > cutoff)
+                victims.push_back(key);
+        std::sort(victims.begin(), victims.end());
+        for (std::uint64_t key : victims) {
+            eraseEntry(key, entries_.find(key)->second);
+            ++stats_.replayDrops;
+        }
+        return victims.size();
+    }
+
+    std::uint64_t size() const { return entries_.size(); }
+
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Entry
+    {
+        std::list<std::uint64_t>::iterator where;
+        std::uint8_t segment = 0;
+        std::uint64_t freq = 0;
+        Tick written = 0;
+    };
+
+    bool
+    expired(const Entry &e, Tick now) const
+    {
+        return config_.ttl != 0 && now >= e.written + config_.ttl;
+    }
+
+    void
+    eraseEntry(std::uint64_t key, Entry &e)
+    {
+        if (config_.policy == CachePolicy::Lfu) {
+            auto bit = freqBuckets_.find(e.freq);
+            bit->second.erase(e.where);
+            if (bit->second.empty())
+                freqBuckets_.erase(bit);
+        } else {
+            recency_[e.segment].erase(e.where);
+        }
+        entries_.erase(key);
+    }
+
+    void
+    insert(std::uint64_t key, Tick now)
+    {
+        while (entries_.size() >= config_.capacity)
+            evictOne();
+        Entry e;
+        e.written = now;
+        if (config_.policy == CachePolicy::Lfu) {
+            e.freq = 1;
+            auto &bucket = freqBuckets_[1];
+            bucket.push_back(key);
+            e.where = std::prev(bucket.end());
+        } else {
+            recency_[0].push_front(key);
+            e.where = recency_[0].begin();
+            e.segment = 0;
+        }
+        entries_.emplace(key, e);
+        ++stats_.inserts;
+    }
+
+    void
+    evictOne()
+    {
+        std::uint64_t victim = 0;
+        switch (config_.policy) {
+          case CachePolicy::Lru:
+            victim = recency_[0].back();
+            break;
+          case CachePolicy::SegmentedLru:
+            victim = recency_[0].empty() ? recency_[1].back()
+                                         : recency_[0].back();
+            break;
+          case CachePolicy::Lfu:
+            victim = freqBuckets_.begin()->second.front();
+            break;
+        }
+        eraseEntry(victim, entries_.find(victim)->second);
+        ++stats_.evictions;
+    }
+
+    void
+    touch(std::uint64_t key, Entry &e)
+    {
+        switch (config_.policy) {
+          case CachePolicy::Lru:
+            recency_[0].splice(recency_[0].begin(), recency_[0], e.where);
+            return;
+          case CachePolicy::Lfu: {
+            auto bit = freqBuckets_.find(e.freq);
+            bit->second.erase(e.where);
+            if (bit->second.empty())
+                freqBuckets_.erase(bit);
+            ++e.freq;
+            auto &bucket = freqBuckets_[e.freq];
+            bucket.push_back(key);
+            e.where = std::prev(bucket.end());
+            return;
+          }
+          case CachePolicy::SegmentedLru:
+            if (e.segment == 1) {
+                recency_[1].splice(recency_[1].begin(), recency_[1],
+                                   e.where);
+                return;
+            }
+            recency_[0].erase(e.where);
+            recency_[1].push_front(key);
+            e.where = recency_[1].begin();
+            e.segment = 1;
+            if (recency_[1].size() > protectedCapacity_ &&
+                recency_[1].size() > 1) {
+                const std::uint64_t demoted = recency_[1].back();
+                recency_[1].pop_back();
+                recency_[0].push_front(demoted);
+                Entry &d = entries_.find(demoted)->second;
+                d.where = recency_[0].begin();
+                d.segment = 0;
+            }
+            return;
+        }
+    }
+
+    CacheModelConfig config_;
+    std::uint64_t protectedCapacity_ = 0;
+    std::unordered_map<std::uint64_t, Entry> entries_;
+    std::list<std::uint64_t> recency_[2];
+    std::map<std::uint64_t, std::list<std::uint64_t>> freqBuckets_;
+    CacheStats stats_;
+};
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.inserts, b.inserts);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.expirations, b.expirations);
+    EXPECT_EQ(a.invalidations, b.invalidations);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.coldRestarts, b.coldRestarts);
+    EXPECT_EQ(a.replayDrops, b.replayDrops);
+}
+
+/**
+ * Random access/write/clearCold/dropWrittenAfter streams through the
+ * slab store and the reference, over every policy x write policy,
+ * TTL on and off, and capacities from 1 up: with 3-24 keys on 1-8
+ * slots nearly every miss evicts, and promotions, demotions, bucket
+ * moves and expiries come every few operations; two larger stores per
+ * case grow the slab and the index through several doublings. Every
+ * hit/miss, trim count, size() and stats() must agree.
+ */
+TEST(CacheModelTest, SlabStoreMatchesNodeReference)
+{
+    std::uint64_t hits = 0, expirations = 0, evictions = 0, drops = 0;
+    for (const CachePolicy policy : {CachePolicy::Lru, CachePolicy::Lfu,
+                                     CachePolicy::SegmentedLru})
+        for (const WritePolicy wp :
+             {WritePolicy::Through, WritePolicy::Invalidate})
+            for (const Tick ttl : {Tick(0), Tick(40)})
+                for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+                    Rng rng(seed * 1000003 + static_cast<unsigned>(policy));
+                    CacheModelConfig cfg;
+                    // The last seeds grow the slab and the index
+                    // through several doublings.
+                    const bool large = seed > 10;
+                    cfg.capacity = large ? 200 + rng.next() % 200
+                                         : 1 + rng.next() % 8;
+                    cfg.policy = policy;
+                    cfg.write = wp;
+                    cfg.ttl = ttl;
+                    cfg.protectedFraction =
+                        static_cast<double>(rng.next() % 5) / 4.0;
+                    const std::uint64_t keys =
+                        large ? cfg.capacity * (1 + rng.next() % 3)
+                              : 3 + rng.next() % 22;
+                    CacheModel m(cfg);
+                    ReferenceCacheModel ref(cfg);
+                    Tick now = 0;
+                    for (int op = 0; op < 4000; ++op) {
+                        now += rng.next() % 4;
+                        const std::uint64_t key = rng.next() % keys;
+                        const std::uint64_t dice = rng.next() % 1000;
+                        if (dice < 700) {
+                            const bool hit = m.access(key, now);
+                            ASSERT_EQ(hit, ref.access(key, now))
+                                << "op " << op << " seed " << seed;
+                        } else if (dice < 980) {
+                            m.write(key, now);
+                            ref.write(key, now);
+                        } else if (dice < 995) {
+                            const Tick back = rng.next() % 60;
+                            const Tick cutoff = now > back ? now - back : 0;
+                            ASSERT_EQ(m.dropWrittenAfter(cutoff),
+                                      ref.dropWrittenAfter(cutoff));
+                        } else {
+                            m.clearCold();
+                            ref.clearCold();
+                        }
+                        ASSERT_EQ(m.size(), ref.size()) << "op " << op;
+                    }
+                    expectSameStats(m.stats(), ref.stats());
+                    hits += m.stats().hits;
+                    expirations += m.stats().expirations;
+                    evictions += m.stats().evictions;
+                    drops += m.stats().replayDrops;
+                }
+    // The streams reach every path they are meant to compare.
+    EXPECT_GT(hits, 10000u);
+    EXPECT_GT(expirations, 1000u);
+    EXPECT_GT(evictions, 10000u);
+    EXPECT_GT(drops, 100u);
 }
 
 // -- shard placement ----------------------------------------------------

@@ -464,5 +464,46 @@ TEST_F(QosOverloadTest, CrashClearsQosBacklogAndFramesDrain)
     EXPECT_EQ(world_->app->liveRequests(), 0);
 }
 
+/**
+ * The same crash with a 200 ms backend timeout, without and with QoS.
+ * During the outage the front's attempts fail at once, and their
+ * cancelled timeouts lie up to 200 ms past the last live event, each
+ * closure holding its call: a drained run retires them, so no frame
+ * is left in use.
+ */
+TEST_F(QosOverloadTest, CrashWithTimeoutsDrainsEveryFrame)
+{
+    for (const bool qos : {false, true}) {
+        rebuild(42);
+        buildPair(/*backend_us=*/1000.0, /*threads=*/1);
+        backendPolicy().timeout = 200 * kTicksPerMs;
+        world_->app->enableCrashTracking();
+        if (qos) {
+            QosConfig qc;
+            qc.policy.classQueueCapacity = 64;
+            qc.batchQueries = {"batch"};
+            world_->app->enableQos(qc);
+        }
+
+        std::vector<Outcome> outcomes;
+        openLoop(/*query=*/0, /*qps=*/1500.0, kTicksPerSec / 5, outcomes);
+        openLoop(/*query=*/1, /*qps=*/1500.0, kTicksPerSec / 5, outcomes);
+        const Tick crash_at = kTicksPerSec / 10;
+        world_->ctx.scheduleAt(crash_at, [&]() {
+            world_->app->crashInstance("backend", 0);
+        });
+        world_->ctx.scheduleAt(3 * crash_at, [&]() {
+            world_->app->restartInstance("backend", 0);
+        });
+        world_->ctx.run();
+
+        const char *mode = qos ? "with QoS" : "without QoS";
+        EXPECT_GT(counter("rpc.crashed_in_flight"), 0u) << mode;
+        EXPECT_EQ(outcomes.size(), world_->app->injected()) << mode;
+        EXPECT_EQ(world_->app->framesInUse(), 0) << mode;
+        EXPECT_EQ(world_->app->liveRequests(), 0) << mode;
+    }
+}
+
 } // namespace
 } // namespace uqsim
