@@ -41,7 +41,8 @@ ctz(std::uint64_t bits)
 inline std::size_t
 fineIndex(Tick when)
 {
-    return static_cast<std::size_t>(when % EventQueue::kFineSpan);
+    return static_cast<std::size_t>(when % EventQueue::kFineSpan /
+                                    EventQueue::kBucketSpan);
 }
 
 /** Coarse slot of block @p block. */
@@ -141,10 +142,10 @@ EventQueue::link(detail::EventNode *node, Tick when)
     // kCoarseSlots - 1 a coarse slot; blocks behind the wheel (only
     // reachable after a peek moved it past the clock) wrap to a huge
     // distance and go to the heap with the far future.
-    const Tick block = when >> kFineBits;
+    const Tick block = when >> kBlockBits;
     const Tick ahead = block - curBlock_;
     if (ahead == 0) {
-        wheel_->fine.append(fineIndex(when), node);
+        wheel_->fine.insert(fineIndex(when), node);
     } else if (ahead < kCoarseSlots) {
         wheel_->coarse.append(coarseIndex(block), node);
     } else {
@@ -170,8 +171,9 @@ EventQueue::retire(detail::EventNode *node) const
 void
 EventQueue::cascade(std::size_t slot) const
 {
-    // The fine level is empty, and the slot's chain is in scheduling
-    // order, so appending keeps every fine bucket in (tick, seq) order.
+    // The fine level is empty and the slot's chain is in scheduling
+    // order, so each node's sequence number is the highest in its
+    // bucket yet, as insert() needs.
     Wheel &w = *wheel_;
     detail::EventNode *n = w.coarse.chains[slot].head;
     w.coarse.clear(slot);
@@ -181,7 +183,7 @@ EventQueue::cascade(std::size_t slot) const
             retire(n);
         } else {
             n->next = nullptr;
-            w.fine.append(fineIndex(n->when), n);
+            w.fine.insert(fineIndex(n->when), n);
         }
         n = next;
     }
@@ -229,7 +231,8 @@ EventQueue::peek() const
             }
             break;
         }
-        if (top && (!w.fine.empty() || top->when >> kFineBits <= curBlock_)) {
+        if (top &&
+            (!w.fine.empty() || top->when >> kBlockBits <= curBlock_)) {
             // The heap's top precedes the wheel: a heap event in the
             // fine level's block or an earlier one comes before every
             // coarse event.
@@ -238,7 +241,7 @@ EventQueue::peek() const
             return;
         }
         // The fine level is dry.
-        const Tick heapBlock = top ? top->when >> kFineBits : kMaxTick;
+        const Tick heapBlock = top ? top->when >> kBlockBits : kMaxTick;
         Tick coarseBlock = kMaxTick;
         std::size_t coarseSlot = 0;
         if (!w.coarse.empty()) {

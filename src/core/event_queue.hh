@@ -18,16 +18,21 @@
  * The pending set is a two-level hashed timing wheel (Varghese and
  * Lauck) in front of a binary heap, 32 KB of chain heads in all:
  *
- *  - the fine level holds the current block of kFineSpan ticks in
- *    per-tick FIFO buckets;
+ *  - the fine level holds the current block of kFineSpan ticks (about
+ *    262 us) in buckets of kBucketSpan ticks, each kept in (tick,
+ *    sequence) order;
  *  - the coarse level holds the next kCoarseSlots - 1 blocks in
  *    per-block FIFO slots; when the fine level runs dry, the earliest
- *    slot is cascaded into it in scheduling order;
- *  - the overflow heap takes everything beyond the coarse level, and
- *    ticks in blocks the wheel has already moved past.
+ *    slot is cascaded into it;
+ *  - the overflow heap takes everything beyond the coarse level (about
+ *    268 ms ahead), and ticks in blocks the wheel has already moved
+ *    past.
  *
- * Scheduling is O(1) at either level however many events share a
- * slot. The execution order is exactly the global (tick,
+ * A block is wide enough that most events are filed once, straight
+ * into the fine level. A fine bucket is sorted by insertion in place,
+ * and the common insertion, at or after the bucket's tail, is an O(1)
+ * append; a coarse slot is an O(1) append however many events share
+ * it. The execution order is exactly the global (tick,
  * sequence-number) order, and a running FNV-1a digest over every
  * executed (tick, seq) pair lets two runs be proven identical (see
  * executionDigest()).
@@ -238,12 +243,17 @@ class EventHandle
  */
 class EventQueue
 {
+    static constexpr unsigned kBucketBits = 8;
     static constexpr unsigned kFineBits = 10;
     static constexpr unsigned kCoarseBits = 10;
+    /** A tick's block is tick >> kBlockBits. */
+    static constexpr unsigned kBlockBits = kBucketBits + kFineBits;
 
   public:
-    /** Ticks per fine block: one fine bucket per tick. */
-    static constexpr Tick kFineSpan = Tick(1) << kFineBits;
+    /** Ticks per fine bucket. */
+    static constexpr Tick kBucketSpan = Tick(1) << kBucketBits;
+    /** Ticks per fine block: 2^kFineBits buckets. */
+    static constexpr Tick kFineSpan = Tick(1) << kBlockBits;
     /** Coarse slots, one block each (the current block's is unused). */
     static constexpr std::size_t kCoarseSlots = std::size_t(1)
                                                 << kCoarseBits;
@@ -329,7 +339,7 @@ class EventQueue
     /** peekedSlot_ value of a memoized node on the overflow heap. */
     static constexpr std::size_t kHeapSlot = ~std::size_t(0);
 
-    /** FIFO chain of events sharing one wheel slot. */
+    /** Chain of events sharing one wheel slot. */
     struct Chain
     {
         detail::EventNode *head = nullptr;
@@ -337,7 +347,7 @@ class EventQueue
     };
 
     /**
-     * One wheel level: 2^Bits FIFO chains, an occupancy bitmap and a
+     * One wheel level: 2^Bits chains, an occupancy bitmap and a
      * summary word over the bitmap (bit w set iff word w is non-zero).
      */
     template <unsigned Bits>
@@ -354,6 +364,7 @@ class EventQueue
 
         bool empty() const { return summary == 0; }
 
+        /** Add @p node at the end of @p slot's chain. */
         void
         append(std::size_t slot, detail::EventNode *node)
         {
@@ -371,6 +382,30 @@ class EventQueue
                 summary |= 1ull << (slot >> 6);
             }
             c.tail = node;
+        }
+
+        /**
+         * Add @p node to @p slot's chain in (tick, seq) order. Its
+         * sequence number must exceed every one in the chain, so it
+         * goes behind the nodes of its own tick.
+         */
+        void
+        insert(std::size_t slot, detail::EventNode *node)
+        {
+            const std::uint64_t bit = 1ull << (slot & 63);
+            Chain &c = chains[slot];
+            if (!(occ[slot >> 6] & bit) || node->when >= c.tail->when) {
+                append(slot, node);
+            } else if (node->when < c.head->when) {
+                node->next = c.head;
+                c.head = node;
+            } else {
+                detail::EventNode *prev = c.head;
+                while (prev->next->when <= node->when)
+                    prev = prev->next;
+                node->next = prev->next;
+                prev->next = node;
+            }
         }
 
         /** Mark @p slot empty (its chain must already be unlinked). */
@@ -443,7 +478,7 @@ class EventQueue
 
     detail::EventPool *pool_ = new detail::EventPool;
 
-    /** Block (tick >> kFineBits) held by the fine level. */
+    /** Block (tick >> kBlockBits) held by the fine level. */
     mutable Tick curBlock_ = 0;
 
     /**
@@ -456,7 +491,7 @@ class EventQueue
      */
     struct Wheel
     {
-        /** Per-tick buckets of block curBlock_. */
+        /** Buckets of block curBlock_, kBucketSpan ticks each. */
         Level<kFineBits> fine;
         /** Per-block slots of blocks (curBlock_, curBlock_ +
          *  kCoarseSlots), block b in slot b % kCoarseSlots. */
@@ -471,8 +506,8 @@ class EventQueue
      * Memo of the last peek: the earliest live node and its fine
      * bucket (kHeapSlot for the heap). Null when unknown. Cleared by
      * runNext and by scheduling an event at an earlier tick; a memoized
-     * node found cancelled is rescanned. A same-tick event goes behind
-     * it (FIFO), so it stays valid.
+     * node found cancelled is rescanned. An event at the memo's tick or
+     * later files behind it, so it stays valid.
      */
     mutable detail::EventNode *peeked_ = nullptr;
     mutable std::size_t peekedSlot_ = kHeapSlot;

@@ -19,7 +19,7 @@ TraceAnalysis::summarize(const std::string &name,
            down_share = 0.0;
     double net_ns = 0.0, app_ns = 0.0, mean_us = 0.0;
     for (std::size_t idx : idxs) {
-        const Span &sp = store_.at(idx);
+        const Span sp = store_.at(idx);
         const double dur =
             std::max<double>(1.0, static_cast<double>(sp.duration()));
         lat.record(sp.duration());
@@ -66,7 +66,7 @@ TraceAnalysis::endToEndNetworkShare() const
     // network time across the trace with the root duration.
     std::unordered_map<TraceId, double> net_by_trace;
     std::unordered_map<TraceId, double> root_dur;
-    for (const Span &sp : store_.spans()) {
+    for (const Span sp : store_.spans()) {
         net_by_trace[sp.traceId] += static_cast<double>(sp.networkTime);
         if (sp.parentSpanId == kNoParent)
             root_dur[sp.traceId] = std::max<double>(
@@ -90,7 +90,7 @@ QuantileSketch
 TraceAnalysis::endToEndLatency() const
 {
     QuantileSketch h;
-    for (const Span &sp : store_.spans())
+    for (const Span sp : store_.spans())
         if (sp.parentSpanId == kNoParent)
             h.record(sp.duration());
     return h;
@@ -113,13 +113,13 @@ TraceAnalysis::criticalPathBreakdown() const
     // parallel fan-outs whose children overlap the parent fully),
     // with the span's own component accounting riding along.
     std::unordered_map<SpanId, Tick> child_time;
-    for (const Span &sp : store_.spans())
+    for (const Span sp : store_.spans())
         if (sp.parentSpanId != kNoParent)
             child_time[sp.parentSpanId] += sp.duration();
 
     std::map<std::string, CriticalPathEntry> by_service;
     std::size_t n_traces = 0;
-    for (const Span &sp : store_.spans()) {
+    for (const Span sp : store_.spans()) {
         if (sp.parentSpanId == kNoParent)
             ++n_traces;
         auto ct = child_time.find(sp.spanId);

@@ -8,11 +8,11 @@
  * analysis code only ever talks to the store.
  *
  * The store is built for *always-on* tracing: a fixed-capacity ring
- * buffer of trivially-copyable spans with interned service names, so
- * recording a span on the simulator's hottest path (every RPC hop)
- * costs one bounded memcpy and never allocates once the ring has
- * grown to capacity. When full, the oldest spans are overwritten and
- * counted, so analysis always knows what it is missing.
+ * of 64-byte span records with interned service names, so recording a
+ * span on the simulator's hottest path (every RPC hop) writes one
+ * cache line and never allocates once the ring has reached its
+ * capacity. When full, the oldest spans are overwritten and counted,
+ * so analysis always knows what it is missing.
  */
 
 #ifndef UQSIM_TRACE_COLLECTOR_HH
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,19 +31,36 @@
 namespace uqsim::trace {
 
 /**
- * Centralized span storage: a bounded ring buffer with interned
- * service names and lazily rebuilt per-trace / per-service indices.
+ * Centralized span storage: a bounded ring of compact span records
+ * with interned service names and lazily rebuilt per-trace /
+ * per-service indices.
  *
- * Spans are addressed by position in [0, size()), oldest first. Any
- * insert may shift positions (on eviction) and invalidates the index
- * references returned by byService().
+ * Spans are addressed by position in [0, size()), oldest first, and
+ * read back by value: the store keeps each span in its own record
+ * format, which only this class knows. Any insert may shift positions
+ * (on eviction) and invalidates the index references returned by
+ * byService().
+ *
+ * Layout. The ring is a table of fixed blocks of kBlockRecords 64-byte
+ * records. A block is allocated when the ring first reaches it, is
+ * never zero-filled and never moves; clear() keeps the blocks, so a
+ * store refilled after a clear allocates nothing. A record keeps the
+ * three ids and the start tick at 64 bits, the duration and the four
+ * component times at 32 bits, the service, instance and query type at
+ * 16 bits, and the five byte fields. A span whose values do not fit
+ * (a time of 2^32 ns or more, an end before its start, a service,
+ * instance or query type of 0xffff or more) is *wide*: its record is
+ * flagged and the whole span is kept in a side table keyed by the
+ * slot, until that slot is overwritten. Every stored value reads back
+ * exactly.
  */
 class TraceStore
 {
   public:
-    /** Default ring capacity (spans); ~24 MiB when completely full. */
+    /** Default ring capacity (spans); 16 MiB of records when full. */
     static constexpr std::size_t kDefaultCapacity = 1u << 18;
 
+    /** Allocates nothing: blocks come with the first inserts. */
     explicit TraceStore(std::size_t capacity = kDefaultCapacity);
 
     // -- Service-name interning ---------------------------------------
@@ -62,12 +80,13 @@ class TraceStore
     void insert(const Span &span);
 
     /** Span at position @p i in [0, size()), oldest first. */
-    const Span &at(std::size_t i) const;
+    Span at(std::size_t i) const;
 
     /** Lightweight random-access view over the stored spans. */
     class SpanView
     {
       public:
+        /** Yields spans by value: no stored Span exists to point at. */
         class iterator
         {
           public:
@@ -77,8 +96,7 @@ class TraceStore
             iterator(const TraceStore *store, std::size_t pos)
                 : store_(store), pos_(pos)
             {}
-            const Span &operator*() const { return store_->at(pos_); }
-            const Span *operator->() const { return &store_->at(pos_); }
+            Span operator*() const { return store_->at(pos_); }
             iterator &operator++()
             {
                 ++pos_;
@@ -101,10 +119,7 @@ class TraceStore
         explicit SpanView(const TraceStore &store) : store_(&store) {}
         std::size_t size() const { return store_->size(); }
         bool empty() const { return size() == 0; }
-        const Span &operator[](std::size_t i) const
-        {
-            return store_->at(i);
-        }
+        Span operator[](std::size_t i) const { return store_->at(i); }
         iterator begin() const { return iterator(store_, 0); }
         iterator end() const { return iterator(store_, size()); }
 
@@ -129,14 +144,16 @@ class TraceStore
     std::vector<std::string> services() const;
 
     /** Spans currently stored. */
-    std::size_t size() const { return ring_.size(); }
+    std::size_t size() const { return size_; }
 
     /** Ring capacity (maximum stored spans). */
     std::size_t capacity() const { return capacity_; }
 
     /**
      * Change the ring capacity. Shrinking keeps the newest spans and
-     * counts the discarded ones as evicted. Fatal on zero.
+     * counts the discarded ones as evicted, and frees the blocks past
+     * the new capacity. On a shrink or a wrapped ring the kept records
+     * are rotated in place to start at the first slot. Fatal on zero.
      */
     void setCapacity(std::size_t capacity);
 
@@ -146,15 +163,61 @@ class TraceStore
     /** Total spans ever inserted since clear(). */
     std::uint64_t inserted() const { return inserted_; }
 
-    /** Drop all spans and counters; interned names survive. */
+    /** Stored spans too wide for a record, kept in the side table. */
+    std::size_t wideSpans() const { return wide_.size(); }
+
+    /** Drop all spans and counters; interned names and blocks survive. */
     void clear();
 
   private:
+    /** One stored span: a cache line (see the class comment). */
+    struct alignas(64) Record
+    {
+        TraceId traceId;
+        SpanId spanId;
+        SpanId parentSpanId;
+        Tick start;
+        std::uint32_t duration;
+        std::uint32_t queueTime;
+        std::uint32_t appTime;
+        std::uint32_t networkTime;
+        std::uint32_t downstreamWait;
+        std::uint16_t service;
+        std::uint16_t instance;
+        std::uint16_t queryType;
+        std::uint8_t status;
+        std::uint8_t attempt;
+        std::uint8_t dataHits;
+        std::uint8_t dataMisses;
+        std::uint8_t qosClass;
+        /** Non-zero: the span lives in wide_ under this record's slot. */
+        std::uint8_t wide;
+    };
+    static_assert(sizeof(Record) <= 64, "a span record is one cache line");
+
+    static constexpr unsigned kBlockBits = 14;
+    /** Records per block (1 MiB). */
+    static constexpr std::size_t kBlockRecords = std::size_t(1)
+                                                 << kBlockBits;
+
+    Record &record(std::size_t slot)
+    {
+        return blocks_[slot >> kBlockBits][slot & (kBlockRecords - 1)];
+    }
+    const Record &record(std::size_t slot) const
+    {
+        return blocks_[slot >> kBlockBits][slot & (kBlockRecords - 1)];
+    }
+
     void rebuildIndices() const;
 
     std::size_t capacity_;
-    std::vector<Span> ring_;
-    /** Position of the oldest span once the ring has wrapped. */
+    /** Blocks of slots [b * kBlockRecords, (b + 1) * kBlockRecords). */
+    std::vector<std::unique_ptr<Record[]>> blocks_;
+    /** Full spans of the flagged records, by slot. */
+    std::unordered_map<std::size_t, Span> wide_;
+    std::size_t size_ = 0;
+    /** Slot of the oldest span; non-zero only once the ring is full. */
     std::size_t head_ = 0;
     std::uint64_t evicted_ = 0;
     std::uint64_t inserted_ = 0;

@@ -131,7 +131,7 @@ exportPerfettoJson(const TraceStore &store, std::ostream &os,
     std::set<TraceId> traces_seen;
     std::set<std::pair<TraceId, ServiceId>> tracks_seen;
     for (std::size_t i = 0; i < n; ++i) {
-        const Span &sp = spans[i];
+        const Span sp = spans[i];
         if (traces_seen.insert(sp.traceId).second) {
             sep();
             os << "{\"ph\":\"M\",\"pid\":" << sp.traceId
@@ -149,7 +149,7 @@ exportPerfettoJson(const TraceStore &store, std::ostream &os,
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        const Span &sp = spans[i];
+        const Span sp = spans[i];
         sep();
         // Failed hops go to a distinct category so a Perfetto query
         // (or the UI's category filter) isolates them at a glance.

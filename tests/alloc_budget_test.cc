@@ -16,7 +16,9 @@
  * store only allocates while its slab and index grow. A fourth
  * bounces events between two shards and checks that, once the
  * outboxes and slot pools have grown, mail of every inline size and
- * same-shard posts allocate nothing.
+ * same-shard posts allocate nothing. A fifth fills a span store: its
+ * constructor allocates nothing, a full default ring its block table
+ * and 16 blocks, and a wrap or a refill after clear() nothing.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +30,7 @@
 #include "apps/social_network.hh"
 #include "core/parallel.hh"
 #include "counting_new.hh"
+#include "trace/collector.hh"
 #include "workload/generators.hh"
 
 namespace uqsim {
@@ -183,6 +186,31 @@ TEST(AllocBudgetTest, CrossShardMailAllocatesNothingAfterWarmUp)
     EXPECT_GE(p.large - large0, 3000u);
     EXPECT_GE(p.local - local0, 3000u);
     EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocBudgetTest, SpanStoreAllocatesItsBlocksOnce)
+{
+    const std::uint64_t allocs0 = countedAllocations();
+    trace::TraceStore store;
+    EXPECT_EQ(countedAllocations(), allocs0);
+
+    trace::Span sp;
+    sp.end = 10;
+    const auto fill = [&store, &sp](std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            ++sp.spanId;
+            store.insert(sp);
+        }
+    };
+    fill(trace::TraceStore::kDefaultCapacity);
+    EXPECT_EQ(countedAllocations() - allocs0, 17u); // table + 16 blocks
+
+    const std::uint64_t allocs1 = countedAllocations();
+    fill(1000); // wraps
+    store.clear();
+    fill(trace::TraceStore::kDefaultCapacity);
+    EXPECT_EQ(countedAllocations(), allocs1);
+    EXPECT_EQ(store.size(), trace::TraceStore::kDefaultCapacity);
 }
 
 } // namespace

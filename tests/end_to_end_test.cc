@@ -73,9 +73,10 @@ TEST(IntegrationTest, TraceTreeMatchesGraphReachability)
     // Every span's service must exist, and every parent-child pair must
     // correspond to an edge of the dependency graph (or client->entry).
     const auto &store = w.app->traceStore();
-    std::map<trace::SpanId, const trace::Span *> by_id;
-    for (const auto &s : store.spans())
-        by_id[s.spanId] = &s;
+    // Copies: the store returns spans by value.
+    std::map<trace::SpanId, trace::Span> by_id;
+    for (const trace::Span s : store.spans())
+        by_id[s.spanId] = s;
     unsigned checked = 0;
     const trace::ServiceId client_id = store.serviceId("client");
     for (const auto &s : store.spans()) {
@@ -86,12 +87,12 @@ TEST(IntegrationTest, TraceTreeMatchesGraphReachability)
         auto parent = by_id.find(s.parentSpanId);
         if (parent == by_id.end())
             continue; // parent span sampled out
-        if (parent->second->service == client_id) {
+        if (parent->second.service == client_id) {
             EXPECT_EQ(svc, w.app->entry());
             continue;
         }
         const std::string &parent_svc =
-            store.serviceName(parent->second->service);
+            store.serviceName(parent->second.service);
         const auto targets =
             w.app->service(parent_svc).def().handler.callTargets();
         EXPECT_NE(std::find(targets.begin(), targets.end(), svc),

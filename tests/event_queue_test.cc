@@ -362,6 +362,78 @@ TEST(EventQueueTest, ScheduleBehindAPeekMovedWheelRunsFirst)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 4, 5}));
 }
 
+// -- Multi-tick fine buckets ------------------------------------------
+//
+// Ticks 3 to 201 share one fine bucket, so its order is the sorted
+// insert's, not the chain's append order.
+static_assert(EventQueue::kBucketSpan > 201);
+
+TEST(EventQueueTest, BucketTicksScheduledInReverseRunInTickOrder)
+{
+    EventQueue q;
+    std::vector<int> order;
+    logAt(q, order, 200, 3);
+    logAt(q, order, 150, 2); // before the head
+    logAt(q, order, 3, 1);   // before the head
+    logAt(q, order, 170, 2); // between head and tail
+    logAt(q, order, 201, 4); // after the tail
+    drain(q);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 2, 3, 4}));
+}
+
+TEST(EventQueueTest, CascadedBucketKeepsTickOrder)
+{
+    // The same ticks filed in a coarse slot, which keeps scheduling
+    // order: the cascade must sort them into their fine bucket.
+    EventQueue q;
+    std::vector<int> order;
+    const Tick base = 3 * EventQueue::kFineSpan;
+    logAt(q, order, base + 200, 4);
+    logAt(q, order, base + 150, 2);
+    logAt(q, order, base + 3, 1);
+    logAt(q, order, base + 150, 3); // same tick as 2: behind it
+    logAt(q, order, base + 200, 5);
+    Tick now = 0;
+    std::vector<Tick> ticks;
+    while (!q.empty()) {
+        q.runNext(now);
+        ticks.push_back(now);
+    }
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(ticks, (std::vector<Tick>{base + 3, base + 150, base + 150,
+                                        base + 200, base + 200}));
+}
+
+TEST(EventQueueTest, PeekThenEarlierTickInItsBucketRunsFirst)
+{
+    EventQueue q;
+    std::vector<int> order;
+    logAt(q, order, 120, 3);
+    logAt(q, order, 130, 4);
+    ASSERT_EQ(q.nextTick(), 120u); // memoizes the bucket's head
+    logAt(q, order, 90, 2);        // the same bucket, before the memo
+    EXPECT_EQ(q.nextTick(), 90u);
+    logAt(q, order, 120, 3); // the memo's tick: behind it
+    logAt(q, order, 5, 1);
+    drain(q);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 3, 4}));
+}
+
+TEST(EventQueueTest, SameTickFifoInsideAMultiTickBucket)
+{
+    EventQueue q;
+    std::vector<int> order;
+    logAt(q, order, 200, 5);
+    logAt(q, order, 100, 1);
+    logAt(q, order, 200, 6);
+    logAt(q, order, 100, 2);
+    logAt(q, order, 150, 4);
+    logAt(q, order, 100, 3);
+    logAt(q, order, 200, 7);
+    drain(q);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(EventQueueTest, CallbackDroppingItsLastHandleKeepsItsNode)
 {
     EventQueue q;

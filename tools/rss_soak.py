@@ -19,8 +19,9 @@ import subprocess
 import sys
 
 # The legs' simulated seconds, and the peak-RSS growth allowed from the
-# short leg to the long one. A 4-vCPU Xeon VM measured 34.2 and 36.6 MB
-# (+7%).
+# short leg to the long one. A 4-vCPU Xeon VM measured 23.5 and 24.2 MB
+# (+3.3%) with 64-byte span records (34.2 and 36.6 MB, +7%, with the
+# 96-byte spans in a vector before them).
 SHORT_S = 20
 LONG_S = 160
 MAX_GROWTH = 0.15

@@ -461,8 +461,8 @@ main(int argc, char **argv)
     if (opt.report == "qos") {
         printBanner(std::cout, "admission control / qos classes");
         if (!scn.qosEnabled) {
-            std::cout << "admission control disabled (--qos): tiers "
-                         "use the legacy single-FIFO queue\n";
+            std::cout << "admission control disabled (--qos): every "
+                         "tier queues arrivals as one FIFO class\n";
         } else {
             TextTable t({"class", "admitted", "served", "shed",
                          "throttled", "overflow"});
