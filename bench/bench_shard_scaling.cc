@@ -5,7 +5,7 @@
  *
  * Replicate panel: the social-network world as N replica shards with
  * a fixed per-shard load (total simulated work grows with N), driven
- * by N worker threads — weak scaling of independent worlds. Its
+ * by N threads — weak scaling of independent worlds. Its
  * speedup is the events/sec ratio to one shard.
  *
  * Partition panel: ONE social-network world at a fixed total load,

@@ -90,12 +90,6 @@ nodejsMicroProfile(const std::string &name)
 }
 
 ServiceProfile
-pythonMicroProfile(const std::string &name)
-{
-    return base(name, 420.0, 0.28, 0.42, 0.25, 0.42, 0.02, "Python");
-}
-
-ServiceProfile
 xapianProfile(const std::string &name)
 {
     // Optimized for memory locality, small codebase: high IPC, high

@@ -56,9 +56,6 @@ ServiceProfile goMicroProfile(const std::string &name);
 /** node.js microservice (event-driven, library-heavy). */
 ServiceProfile nodejsMicroProfile(const std::string &name);
 
-/** Python microservice. */
-ServiceProfile pythonMicroProfile(const std::string &name);
-
 /** Xapian-based search leaf: locality-optimized, high IPC. */
 ServiceProfile xapianProfile(const std::string &name = "search-index");
 

@@ -335,7 +335,8 @@ const Field kFields[] = {
     {"shards", "--shards", "N", &Scenario::shards,
      "engine shards, each its own event queue", atLeast(1)},
     {"threads", "--threads", "N", &Scenario::threads,
-     "worker threads driving the shards (never changes results)",
+     "threads running the shards, the caller's included (never "
+     "changes results)",
      atLeast(1)},
     {"rpc_timeout", "--rpc-timeout", "DUR", dur(&Scenario::rpcTimeout),
      "per-attempt RPC timeout, 0 = off"},

@@ -5,10 +5,6 @@
 
 namespace uqsim {
 
-namespace {
-bool informEnabled = true;
-} // namespace
-
 void
 panic(const std::string &msg)
 {
@@ -21,25 +17,6 @@ fatal(const std::string &msg)
 {
     std::cerr << "fatal: " << msg << std::endl;
     std::exit(1);
-}
-
-void
-warn(const std::string &msg)
-{
-    std::cerr << "warn: " << msg << std::endl;
-}
-
-void
-inform(const std::string &msg)
-{
-    if (informEnabled)
-        std::cerr << "info: " << msg << std::endl;
-}
-
-void
-setInformEnabled(bool enabled)
-{
-    informEnabled = enabled;
 }
 
 } // namespace uqsim

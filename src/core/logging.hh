@@ -3,8 +3,8 @@
  * gem5-style status and error reporting helpers.
  *
  * panic() is for internal invariant violations (simulator bugs) and
- * aborts; fatal() is for user/configuration errors and exits cleanly;
- * warn() and inform() report conditions without stopping the run.
+ * aborts; fatal() is for user/configuration errors and exits cleanly.
+ * strCat() builds their messages.
  */
 
 #ifndef UQSIM_CORE_LOGGING_HH
@@ -38,15 +38,6 @@ strCat(Args &&...args)
  * (bad configuration, invalid arguments), not a simulator bug.
  */
 [[noreturn]] void fatal(const std::string &msg);
-
-/** Report a suspicious but non-fatal condition to stderr. */
-void warn(const std::string &msg);
-
-/** Report normal operating status to stderr. */
-void inform(const std::string &msg);
-
-/** Enable/disable inform() output (benches silence it). */
-void setInformEnabled(bool enabled);
 
 } // namespace uqsim
 

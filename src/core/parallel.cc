@@ -28,7 +28,9 @@ mix64(std::uint64_t x)
 } // namespace
 
 ParallelSimulator::ParallelSimulator(Config config)
-    : lookahead_(config.lookahead)
+    : lookahead_(config.lookahead),
+      nthreads_(std::max(1u, std::min(config.threads, config.shards))),
+      barrier_(nthreads_)
 {
     if (config.shards == 0)
         panic("ParallelSimulator with zero shards");
@@ -42,25 +44,20 @@ ParallelSimulator::ParallelSimulator(Config config)
         if (config.shards > 1)
             shards_.back()->outbox.resize(config.shards);
     }
-    nthreads_ = std::max(1u, std::min(config.threads, config.shards));
-    if (nthreads_ > 1) {
-        workers_.reserve(nthreads_);
-        for (unsigned i = 0; i < nthreads_; ++i)
-            workers_.emplace_back([this, i]() { workerLoop(i); });
-    }
+    // Participant 0 is the driving thread; workers are 1..threads-1.
+    workers_.reserve(nthreads_ - 1);
+    for (unsigned i = 1; i < nthreads_; ++i)
+        workers_.emplace_back([this, i]() { workerLoop(i); });
 }
 
 ParallelSimulator::~ParallelSimulator()
 {
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            shutdown_ = true;
-        }
-        cvStart_.notify_all();
-        for (std::thread &t : workers_)
-            t.join();
-    }
+    // The workers wait at a round's first arrival; complete it with
+    // the flag set and they return.
+    shutdown_ = true;
+    barrier_.arrive_and_wait();
+    for (std::thread &t : workers_)
+        t.join();
 }
 
 SimContext
@@ -136,7 +133,7 @@ ParallelSimulator::deliverMail()
             continue;
         // An outbox is in its sender's posting order, so (when, src,
         // index) is the (when, src, seq) total order: the merge does
-        // not depend on which worker thread ran which sender.
+        // not depend on which thread ran which sender.
         std::sort(mailKeys_.begin(), mailKeys_.end(),
                   [](const MailKey &a, const MailKey &b) {
                       if (a.when != b.when)
@@ -228,50 +225,39 @@ ParallelSimulator::runShard(Shard &s, Tick horizon)
 }
 
 void
-ParallelSimulator::runRound(Tick horizon)
+ParallelSimulator::runShardGroup(unsigned first, Tick horizon)
 {
-    if (nthreads_ <= 1) {
-        for (auto &s : shards_)
-            runShard(*s, horizon);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        roundHorizon_ = horizon;
-        pendingWorkers_ = nthreads_;
-        ++generation_;
-    }
-    cvStart_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cvDone_.wait(lock, [this]() { return pendingWorkers_ == 0; });
+    // Static shard-to-thread assignment: shard s runs on participant
+    // s % nthreads_, every round, so per-shard execution is sequential
+    // across rounds as well as within one.
+    for (unsigned s = first; s < shards_.size(); s += nthreads_)
+        runShard(*shards_[s], horizon);
 }
 
 void
 ParallelSimulator::workerLoop(unsigned index)
 {
-    std::uint64_t seen = 0;
     while (true) {
-        Tick horizon;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cvStart_.wait(lock, [this, seen]() {
-                return shutdown_ || generation_ != seen;
-            });
-            if (shutdown_)
-                return;
-            seen = generation_;
-            horizon = roundHorizon_;
-        }
-        // Static shard-to-worker assignment: shard s runs on worker
-        // s % nthreads_, every round, so per-shard execution is
-        // sequential across rounds as well as within one.
-        for (unsigned s = index; s < shards_.size(); s += nthreads_)
-            runShard(*shards_[s], horizon);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (--pendingWorkers_ == 0)
-                cvDone_.notify_all();
-        }
+        barrier_.arrive_and_wait();
+        if (shutdown_)
+            return;
+        runShardGroup(index, roundHorizon_);
+        barrier_.arrive_and_wait();
+    }
+}
+
+void
+ParallelSimulator::runRounds(Tick end)
+{
+    while (true) {
+        deliverMail();
+        const Tick min_next = minNextTick();
+        if (min_next >= end)
+            return;
+        roundHorizon_ = std::min(end, satAdd(min_next, lookahead_));
+        barrier_.arrive_and_wait();
+        runShardGroup(0, roundHorizon_);
+        barrier_.arrive_and_wait();
     }
 }
 
@@ -285,14 +271,7 @@ ParallelSimulator::runUntil(Tick deadline)
     // Events fire while strictly below the horizon, so the inclusive
     // deadline needs horizon = deadline + 1; satAdd keeps both that and
     // an "infinite" lookahead from wrapping (kMaxTick never fires).
-    const Tick end = satAdd(deadline, 1);
-    while (true) {
-        deliverMail();
-        const Tick min_next = minNextTick();
-        if (min_next >= end)
-            break;
-        runRound(std::min(end, satAdd(min_next, lookahead_)));
-    }
+    runRounds(satAdd(deadline, 1));
     for (auto &s : shards_) {
         s->now = deadline;
         // The window is fully executed on every shard: flush each
@@ -305,13 +284,8 @@ ParallelSimulator::runUntil(Tick deadline)
 void
 ParallelSimulator::run()
 {
-    while (true) {
-        deliverMail();
-        const Tick min_next = minNextTick();
-        if (min_next == kMaxTick)
-            break;
-        runRound(satAdd(min_next, lookahead_));
-    }
+    // kMaxTick never fires, so this runs until every queue drains.
+    runRounds(kMaxTick);
     // Drained: a cancelled timeout still holds its closure, and the
     // call that closure keeps alive, until a scan passes its tick.
     for (auto &s : shards_)

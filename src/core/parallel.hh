@@ -20,7 +20,7 @@
  * which is what makes executing the window [minNext, minNext+lookahead)
  * safe: nothing sent during the round can land inside it.
  *
- * Determinism is by construction, independent of the worker-thread
+ * Determinism is by construction, independent of the thread
  * count: shard execution is sequential, rounds are a pure function of
  * simulation state, and outbox merges are sorted. Per-shard FNV-1a
  * digests compose into a run digest that is order-sensitive within a
@@ -31,6 +31,13 @@
  * ParallelSimulator, which runs every event in one round (its
  * lookahead is kMaxTick) on the driving thread. See docs/PARALLEL.md.
  *
+ * Rounds are stepped by one std::barrier<> of `threads` participants.
+ * The driving thread (the one that calls run() or runUntil()) is
+ * participant 0: it publishes the horizon, arrives, runs shards 0,
+ * threads, 2*threads, ... and arrives again, while threads-1 workers
+ * run the other shard groups between the same two arrivals. With one
+ * thread the barrier has one participant and the same loop runs.
+ *
  * Mail takes no lock and allocates nothing once the buffers have
  * grown. Shard s keeps one outbox per destination; only the thread
  * running s writes it (inside a round, or the driving thread between
@@ -40,17 +47,16 @@
  * it in place and returns the slot. Slots are taken between rounds on
  * the driving thread (or by a same-shard post, on the shard's own
  * thread) and returned inside rounds on the destination's thread; the
- * runRound()/workerLoop() handshake orders the two, so the slot free
- * list needs no lock.
+ * barrier's phase completions order the two, so the slot free list
+ * needs no lock.
  */
 
 #ifndef UQSIM_CORE_PARALLEL_HH
 #define UQSIM_CORE_PARALLEL_HH
 
-#include <condition_variable>
+#include <barrier>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -81,9 +87,10 @@ class ParallelSimulator
         Tick lookahead = kMaxTick;
 
         /**
-         * Worker threads executing shard rounds (capped to the shard
-         * count). 1 runs rounds inline on the driving thread. The
-         * execution digest does not depend on this value.
+         * Threads executing shard rounds, the driving thread included
+         * (capped to the shard count): threads-1 workers are spawned,
+         * and 1 runs every round on the driving thread. The execution
+         * digest does not depend on this value.
          */
         unsigned threads = 1;
     };
@@ -102,7 +109,7 @@ class ParallelSimulator
         return static_cast<unsigned>(shards_.size());
     }
 
-    /** Worker threads actually running rounds. */
+    /** Threads running rounds, the driving thread included. */
     unsigned threads() const { return nthreads_; }
 
     Tick lookahead() const { return lookahead_; }
@@ -121,7 +128,7 @@ class ParallelSimulator
      * basis of the obs layer's digest guarantee). The conservative
      * protocol guarantees no later mail can land below B, so the
      * lazily-fired sample is identical to one taken eagerly, and
-     * therefore worker-thread-count invariant.
+     * therefore thread-count invariant.
      *
      * Observers must not schedule events or mutate model state. Firing
      * is lazy (a boundary with no event at or after it yet fires as
@@ -158,7 +165,7 @@ class ParallelSimulator
      * verbatim (the legacy single-queue digest). N shards: a
      * commutative mix of the per-shard digests, so the value is
      * independent of cross-shard execution interleaving — and thus of
-     * the worker-thread count — while remaining order-sensitive within
+     * the thread count — while remaining order-sensitive within
      * each shard.
      */
     std::uint64_t executionDigest() const;
@@ -237,20 +244,27 @@ class ParallelSimulator
 
     /**
      * Merge all outboxes into destination queues, sorted by (when,
-     * src, index). Runs between rounds (no workers active).
+     * src, index). Runs between rounds, on the driving thread.
      */
     void deliverMail();
 
     /** Earliest pending event time across all shard queues. */
     Tick minNextTick() const;
 
-    /** Execute one round: every shard runs events with time < horizon. */
-    void runRound(Tick horizon);
+    /**
+     * The round loop of run() and runUntil(): deliver mail, then run
+     * one round up to min(@p end, earliest event + lookahead), until
+     * no event is left below @p end.
+     */
+    void runRounds(Tick end);
+
+    /** Run shards @p first, first+threads, ... up to @p horizon. */
+    void runShardGroup(unsigned first, Tick horizon);
 
     /** Sequentially run shard @p s up to @p horizon. */
     void runShard(Shard &s, Tick horizon);
 
-    /** Worker-pool body for worker @p index. */
+    /** Worker @p index's body: run shard group @p index each round. */
     void workerLoop(unsigned index);
 
     std::vector<std::unique_ptr<Shard>> shards_;
@@ -258,14 +272,14 @@ class ParallelSimulator
     std::vector<MailKey> mailKeys_;
     Tick lookahead_ = kMaxTick;
 
-    // -- Worker pool (nthreads_ > 1 only) ------------------------------
-    unsigned nthreads_ = 1;
+    // -- Round barrier -------------------------------------------------
+    // Each round is two phases: the first completes once the driving
+    // thread has written roundHorizon_ (or shutdown_), the second once
+    // every participant has run its shard group. Phase completion
+    // orders these writes and every shard's state between threads.
+    const unsigned nthreads_;
+    std::barrier<> barrier_;
     std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable cvStart_;
-    std::condition_variable cvDone_;
-    std::uint64_t generation_ = 0;
-    unsigned pendingWorkers_ = 0;
     Tick roundHorizon_ = 0;
     bool shutdown_ = false;
 };

@@ -56,14 +56,4 @@ CoreModel::edgeArm()
     return m;
 }
 
-CoreModel
-CoreModel::ec2C5()
-{
-    CoreModel m = xeon();
-    m.name = "c5.18xlarge";
-    m.nominalFreqMhz = 3000.0;
-    m.coresPerServer = 72;
-    return m;
-}
-
 } // namespace uqsim::cpu

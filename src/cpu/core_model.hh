@@ -61,9 +61,6 @@ struct CoreModel
 
     /** Edge-device SoC on the drones (Swarm Edge): 4 small cores. */
     static CoreModel edgeArm();
-
-    /** EC2 c5.18xlarge-like VM for the tail-at-scale study (Sec 8). */
-    static CoreModel ec2C5();
 };
 
 } // namespace uqsim::cpu

@@ -73,9 +73,6 @@ class Server
      */
     void setFrequencyMhz(double mhz);
 
-    /** Restore nominal frequency. */
-    void resetFrequency() { setFrequencyMhz(model_.nominalFreqMhz); }
-
     /**
      * Inject a uniform execution-time multiplier (>1 slows the server
      * down); models the "aggressive power management" fault of Fig 22c.

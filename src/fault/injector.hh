@@ -79,9 +79,6 @@ class FaultInjector : public service::RequestFaultHook
     /** Crashes executed so far. */
     std::uint64_t crashes() const { return crashes_->value(); }
 
-    /** Fault windows currently active. */
-    unsigned activeWindows() const { return active_; }
-
   private:
     /** @return true if any partition window wants this message dead. */
     bool shouldDropMessage(unsigned src, unsigned dst);

@@ -19,7 +19,7 @@
  * a stronger guarantee than the usual "disabled == inert" opt-in
  * contract. Sampling is a pure function of shard-local state at each
  * boundary, so series contents are seed-deterministic and invariant
- * under the worker-thread count at a fixed shard layout.
+ * under the thread count at a fixed shard layout.
  *
  * Lifetime: the pipeline must outlive all driving of the world (the
  * clock observer cannot be unregistered) and clears the App's tap on

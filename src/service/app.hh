@@ -314,12 +314,6 @@ class App
     /** @return true once enableReplication has been called. */
     bool replicationEnabled() const { return replicationEnabled_; }
 
-    /** The replication configuration (valid once enabled). */
-    const replica::ReplicationConfig &replicationConfig() const
-    {
-        return replicationConfig_;
-    }
-
     // -- Partitioned deployment -------------------------------------------
 
     /**

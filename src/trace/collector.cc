@@ -6,9 +6,10 @@
 
 namespace uqsim::trace {
 
-TraceStore::TraceStore(std::size_t capacity)
+TraceStore::TraceStore(std::size_t capacity) : capacity_(capacity)
 {
-    setCapacity(capacity);
+    if (capacity == 0)
+        fatal("TraceStore capacity must be at least 1");
 }
 
 ServiceId
@@ -197,42 +198,6 @@ TraceStore::services() const
             out.push_back(names_[id]);
     std::sort(out.begin(), out.end());
     return out;
-}
-
-void
-TraceStore::setCapacity(std::size_t capacity)
-{
-    if (capacity == 0)
-        fatal("TraceStore capacity must be at least 1");
-    const std::size_t drop = size_ > capacity ? size_ - capacity : 0;
-    if (drop > 0 || head_ != 0) {
-        // Rotate slots [0, size_) left by k in place (three reversals):
-        // the kept spans move to [0, size_ - drop), oldest first, and
-        // the dropped ones to the tail.
-        const std::size_t n = size_;
-        const std::size_t k = (head_ + drop) % n;
-        const auto reverse = [this](std::size_t lo, std::size_t hi) {
-            while (lo + 1 < hi)
-                std::swap(record(lo++), record(--hi));
-        };
-        reverse(0, k);
-        reverse(k, n);
-        reverse(0, n);
-        std::unordered_map<std::size_t, Span> kept;
-        for (const auto &[slot, span] : wide_) {
-            const std::size_t to = (slot + n - k) % n;
-            if (to < n - drop)
-                kept.emplace(to, span);
-        }
-        wide_.swap(kept);
-        size_ = n - drop;
-        evicted_ += drop;
-        head_ = 0;
-        indexDirty_ = true;
-    }
-    capacity_ = capacity;
-    blocks_.resize(
-        std::min(blocks_.size(), (capacity - 1) / kBlockRecords + 1));
 }
 
 void

@@ -60,7 +60,10 @@ class TraceStore
     /** Default ring capacity (spans); 16 MiB of records when full. */
     static constexpr std::size_t kDefaultCapacity = 1u << 18;
 
-    /** Allocates nothing: blocks come with the first inserts. */
+    /**
+     * A ring of @p capacity spans, fixed for the store's life. Allocates
+     * nothing: blocks come with the first inserts. Fatal on zero.
+     */
     explicit TraceStore(std::size_t capacity = kDefaultCapacity);
 
     // -- Service-name interning ---------------------------------------
@@ -135,7 +138,7 @@ class TraceStore
 
     /**
      * Positions of spans served by one microservice. Valid until the
-     * next insert/clear/setCapacity.
+     * next insert or clear.
      */
     const std::vector<std::size_t> &byService(const std::string &svc) const;
     const std::vector<std::size_t> &byService(ServiceId id) const;
@@ -149,15 +152,7 @@ class TraceStore
     /** Ring capacity (maximum stored spans). */
     std::size_t capacity() const { return capacity_; }
 
-    /**
-     * Change the ring capacity. Shrinking keeps the newest spans and
-     * counts the discarded ones as evicted, and frees the blocks past
-     * the new capacity. On a shrink or a wrapped ring the kept records
-     * are rotated in place to start at the first slot. Fatal on zero.
-     */
-    void setCapacity(std::size_t capacity);
-
-    /** Spans overwritten (or discarded by a shrink) since clear(). */
+    /** Spans overwritten since clear(). */
     std::uint64_t evicted() const { return evicted_; }
 
     /** Total spans ever inserted since clear(). */
@@ -211,7 +206,7 @@ class TraceStore
 
     void rebuildIndices() const;
 
-    std::size_t capacity_;
+    const std::size_t capacity_;
     /** Blocks of slots [b * kBlockRecords, (b + 1) * kBlockRecords). */
     std::vector<std::unique_ptr<Record[]>> blocks_;
     /** Full spans of the flagged records, by slot. */

@@ -259,9 +259,6 @@ class OpenLoopGenerator
      */
     void setArrivalProcess(std::unique_ptr<ArrivalProcess> process);
 
-    /** The attached arrival process (null = built-in Poisson). */
-    const ArrivalProcess *arrivalProcess() const { return arrival_.get(); }
-
     /** Begin injecting; keeps going until stop(). */
     void start();
 

@@ -4,7 +4,8 @@
  *
  * The sharded core's contract, exercised without any model on top:
  * a Simulator matches a bare one-shard engine; digests
- * at a fixed shard count never depend on the worker-thread count;
+ * at a fixed shard count never depend on the thread count; the
+ * driving thread runs shard group 0 and workers the others;
  * cross-shard mail merges in deterministic (when, src, seq) order, and
  * mail still pending when an engine is destroyed is destroyed exactly
  * once; and the conservative-lookahead and past-scheduling invariants
@@ -16,6 +17,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -199,6 +202,87 @@ TEST(ParallelTest, FixedShardCountDigestIgnoresThreads)
     EXPECT_EQ(digest(4), one);
     // More threads than shards is capped, not an error.
     EXPECT_EQ(digest(16), one);
+}
+
+/** What ringMail() saw: the digest and the threads that ran each shard. */
+struct RingRun
+{
+    std::uint64_t digest = 0;
+    std::array<std::set<std::thread::id>, 4> threadsOf;
+};
+
+/**
+ * Mail around a ring of four shards under a finite lookahead: each hop
+ * runs on its shard, schedules a local filler and posts to the next
+ * shard. Driven by runUntil() and then run(), so both enter the round
+ * loop. Each shard's set is written only by the thread running it.
+ */
+RingRun
+ringMail(unsigned threads)
+{
+    ParallelSimulator par({4, /*lookahead=*/10, threads});
+    std::array<SimContext, 4> ctx{par.context(0), par.context(1),
+                                  par.context(2), par.context(3)};
+    RingRun out;
+    std::function<void(unsigned, unsigned)> hop = [&](unsigned shard,
+                                                      unsigned left) {
+        out.threadsOf[shard].insert(std::this_thread::get_id());
+        if (left == 0)
+            return;
+        ctx[shard].schedule(1 + left % 4, [&out, shard]() {
+            out.threadsOf[shard].insert(std::this_thread::get_id());
+        });
+        const unsigned next = (shard + 1) % 4;
+        ctx[shard].postToShard(next, 10 + left % 5,
+                               [&hop, next, left]() { hop(next, left - 1); });
+    };
+    for (unsigned s = 0; s < 4; ++s)
+        ctx[s].schedule(s, [&hop, s]() { hop(s, 20); });
+    par.runUntil(50);
+    par.run();
+    EXPECT_EQ(par.eventsExecuted(), 4u * (1 + 2 * 20));
+    out.digest = par.executionDigest();
+    return out;
+}
+
+TEST(ParallelTest, RingMailDigestIgnoresThreads)
+{
+    const std::uint64_t one = ringMail(1).digest;
+    for (unsigned threads : {2u, 3u, 4u})
+        EXPECT_EQ(ringMail(threads).digest, one) << threads << " threads";
+}
+
+TEST(ParallelTest, DrivingThreadRunsShardGroupZero)
+{
+    const std::set<std::thread::id> self{std::this_thread::get_id()};
+    // Two threads: the caller runs shards 0 and 2, one worker 1 and 3.
+    const RingRun two = ringMail(2);
+    EXPECT_EQ(two.threadsOf[0], self);
+    EXPECT_EQ(two.threadsOf[2], self);
+    EXPECT_EQ(two.threadsOf[1].size(), 1u);
+    EXPECT_NE(two.threadsOf[1], self);
+    EXPECT_EQ(two.threadsOf[3], two.threadsOf[1]);
+    // Three threads: the caller runs shards 0 and 3, a worker each of
+    // shards 1 and 2.
+    const RingRun three = ringMail(3);
+    EXPECT_EQ(three.threadsOf[0], self);
+    EXPECT_EQ(three.threadsOf[3], self);
+    EXPECT_EQ(three.threadsOf[1].size(), 1u);
+    EXPECT_EQ(three.threadsOf[2].size(), 1u);
+    EXPECT_NE(three.threadsOf[1], self);
+    EXPECT_NE(three.threadsOf[2], self);
+    EXPECT_NE(three.threadsOf[1], three.threadsOf[2]);
+    // One thread runs every shard.
+    for (const auto &ids : ringMail(1).threadsOf)
+        EXPECT_EQ(ids, self);
+}
+
+TEST(ParallelTest, EngineThatNeverRanTearsDown)
+{
+    // Three workers wait at the first arrival of a round that never
+    // comes; the destructor has to release and join them.
+    ParallelSimulator par({4, /*lookahead=*/10, 4});
+    EXPECT_EQ(par.threads(), 4u);
 }
 
 TEST(ParallelTest, IdenticalShardsDoNotCancel)
